@@ -199,124 +199,6 @@ def _certifier_batch(quick: bool, obs=None) -> ScenarioTiming:
     )
 
 
-def _certifier_sharded(quick: bool, obs=None) -> ScenarioTiming:
-    """Sharded-certification sweep: the certifier-batch round-trip pattern
-    against a :class:`ShardedCertifier` at 1, 4 and 16 shards (4 only, and a
-    smaller stream, in quick mode).
-
-    Unlike ``certifier-batch`` -- whose timed loop also pays writeset
-    *generation* -- the request stream here is pre-generated and only the
-    certification round trips (probe, commit, log append, piggyback,
-    periodic truncation) are timed: the scenario isolates the certification
-    service the way a saturated certifier experiences it, so shard counts
-    are compared on certification work alone.  The headline numbers are
-    certified-requests/s per shard count (``extra``); ``events_processed``
-    and the reported rate cover the full sweep.
-    """
-    import gc
-
-    from repro.replication.sharding import SHARD_RANGE_BITS, ShardedCertifier
-    from repro.storage.engine import WriteItem, WriteSet
-
-    shard_counts = [4] if quick else [1, 4, 16]
-    requests = 50_000 if quick else 250_000
-    batch_size = 8
-    key_space = 20_000
-    block = 1 << SHARD_RANGE_BITS
-    tables = ["order_line", "orders", "cc_xacts", "item", "shopping_cart_line"]
-
-    # One seeded stream, reused identically for every shard count: the
-    # sweep's decisions (commits, aborts, final version) must match across
-    # arms -- sharding changes where state lives, never what is decided.
-    # The mix models a partitioned OLTP workload: 90% of writesets stay
-    # inside one key block of one relation (an order and its lines), so
-    # they certify against a single shard; 10% scatter across relations
-    # and blocks and exercise the cross-shard path.
-    rng = random.Random(42)
-    stream = []
-    for _ in range(requests):
-        if rng.random() < 0.9:
-            relation = rng.choice(tables)
-            base = rng.randrange(key_space // block) * block
-            items = tuple(
-                WriteItem(relation=relation,
-                          keys=(base + rng.randrange(block),
-                                base + rng.randrange(block)),
-                          payload_bytes=256, pages_dirtied=1)
-                for _ in range(2)
-            )
-        else:
-            items = tuple(
-                WriteItem(relation=rng.choice(tables),
-                          keys=(rng.randrange(key_space),
-                                rng.randrange(key_space)),
-                          payload_bytes=256, pages_dirtied=1)
-                for _ in range(2)
-            )
-        stream.append((WriteSet(transaction_type="micro", items=items),
-                       rng.randrange(8)))
-    batches = [stream[i:i + batch_size] for i in range(0, requests, batch_size)]
-
-    extra: Dict[str, float] = {}
-    total_wall = 0.0
-    commits = aborts = 0
-    repeats = 1 if quick else 2
-    for num_shards in shard_counts:
-        # Repeat each arm and keep the fastest wall time: the arms run
-        # back to back on a shared box, and min-of-N is the standard
-        # least-interference estimate for a deterministic workload.
-        best_wall = float("inf")
-        for _ in range(repeats):
-            certifier = ShardedCertifier(num_shards=num_shards)
-            applied = [0, 0, 0, 0]
-            issued = 0
-            # The pre-generated stream is immortal for the sweep's
-            # lifetime; freeze it out of the collector and keep collection
-            # out of the timed region so every arm sees the same allocator
-            # behaviour instead of paying for the previous arms' garbage.
-            gc.collect()
-            gc.freeze()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                for index, chunk in enumerate(batches):
-                    proxy = index % len(applied)
-                    floor = applied[proxy]
-                    version = certifier.current_version
-                    batch = [(writeset,
-                              version - lag if version - lag > floor else floor)
-                             for writeset, lag in chunk]
-                    _, piggyback = certifier.certify_batch(
-                        batch, since_version=floor, now=float(index))
-                    if piggyback:
-                        applied[proxy] = piggyback[-1].version
-                    issued += len(chunk)
-                    if issued % 1000 < batch_size:
-                        certifier.truncate(max(0, min(applied) - 2000))
-                wall = time.perf_counter() - start
-            finally:
-                gc.enable()
-                gc.unfreeze()
-            best_wall = min(best_wall, wall)
-            commits = certifier.stats.commits
-            aborts = certifier.stats.aborts
-        total_wall += best_wall
-        extra["requests_per_sec_shards_%d" % num_shards] = \
-            requests / best_wall if best_wall > 0 else 0.0
-        extra["index_entries_shards_%d" % num_shards] = \
-            float(sum(certifier.index_sizes()))
-    extra["aborts"] = float(aborts)
-    return ScenarioTiming(
-        name="certifier-sharded",
-        wall_seconds=total_wall,
-        sim_seconds=0.0,
-        events_processed=requests * len(shard_counts),
-        transactions_completed=commits,
-        throughput_tps=commits / total_wall if total_wall > 0 else 0.0,
-        extra=extra,
-    )
-
-
 def _dispatch_micro(quick: bool, obs=None) -> ScenarioTiming:
     from collections import deque
 
@@ -531,7 +413,6 @@ SCENARIOS: Dict[str, Callable[..., ScenarioTiming]] = {
     "flash-crowd": _flash_crowd,
     "certifier-micro": _certifier_micro,
     "certifier-batch": _certifier_batch,
-    "certifier-sharded": _certifier_sharded,
     "commit-fanout": _commit_fanout,
     "dispatch-micro": _dispatch_micro,
     "obs-overhead": _obs_overhead,

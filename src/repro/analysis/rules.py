@@ -697,8 +697,9 @@ class RuleS1Slots(Rule):
         "QueryPlanner", "Relation", "Schema", "ExecutionPlan", "PlanNode",
         "Certifier", "Replica", "ReplicatedCluster", "ReplicatedCertifierLog",
         "BufferPool",
-        # One per cluster, like Certifier: its hot state lives in plain
-        # lists/dicts it holds, not in per-instance attribute storage.
+        # Bodiless name-only subclass of Certifier kept in
+        # replication/sharding.py for the benchmark probe table; never
+        # instantiated.
         "ShardedCertifier",
     })
 

@@ -67,9 +67,6 @@ class MembershipManager:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def alive_ids(self) -> List[int]:
-        return self.cluster.replica_ids()
-
     @property
     def alive_count(self) -> int:
         return len(self.cluster.replicas)

@@ -228,10 +228,6 @@ class Network:
     def heal(self, replica_id: int) -> None:
         self.link(replica_id).heal()
 
-    def partition_all(self) -> None:
-        for channel in self.links.values():
-            channel.partition()
-
     def heal_all(self) -> None:
         for channel in self.links.values():
             channel.heal()

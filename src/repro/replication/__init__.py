@@ -16,8 +16,6 @@ from repro.replication.recovery import (
     recovery_replay_plan,
 )
 from repro.replication.replica import Replica, TransactionContext
-from repro.replication.sharding import (SHARD_RANGE_BITS, ShardRouter,
-                                        ShardedCertifier)
 from repro.replication.writeset import CertifiedWriteSet, WriteItem, WriteSet
 
 __all__ = [
@@ -35,9 +33,6 @@ __all__ = [
     "ReplicatedCertifierLog",
     "ReplicatedCluster",
     "RunResult",
-    "SHARD_RANGE_BITS",
-    "ShardRouter",
-    "ShardedCertifier",
     "TransactionContext",
     "WriteItem",
     "WriteSet",

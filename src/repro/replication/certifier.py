@@ -61,12 +61,6 @@ class CertifierStats:
     dedup_hits: int = 0         # retried/duplicated RPCs answered from cache
     stale_requests: int = 0     # retransmissions older than the dedup window
 
-    @property
-    def abort_rate(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.aborts / self.requests
-
 
 class _RpcDedupState:
     """Per-origin at-least-once RPC dedup state (see :meth:`Certifier.certify_rpc`).
@@ -165,12 +159,6 @@ class LagSubscriptionIndex:
 class Certifier:
     """Certifies writesets, orders commits and retains the writeset log."""
 
-    #: Shard count of the conflict index / log.  The plain certifier is the
-    #: one-shard degenerate case; :class:`repro.replication.sharding.\
-    #: ShardedCertifier` overrides this, and callers that care (per-shard
-    #: cursors, vector writesets) probe ``getattr(certifier, "num_shards", 1)``.
-    num_shards = 1
-
     def __init__(self, lag_notification_threshold: int = 25,
                  max_log_entries: Optional[int] = None) -> None:
         if lag_notification_threshold <= 0:
@@ -180,7 +168,7 @@ class Certifier:
         #: Lag subscriptions of the live replicas (the cluster registers the
         #: proxies' applied-version cursors here); a commit batch asks
         #: :meth:`LagSubscriptionIndex.crossed` for the replicas to notify
-        #: instead of scanning every replica through :meth:`should_notify`.
+        #: instead of scanning every replica.
         self.subscriptions = LagSubscriptionIndex(lag_notification_threshold)
         self.log: List[CertifiedWriteSet] = []
         self._log_offset = 0          # version of the first retained entry minus one
@@ -357,21 +345,6 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
         if limit is not None:
             return self.log[start:start + limit]
         return self.log[start:]
-
-    def should_notify(self, replica_applied_version: int) -> bool:
-        """Whether a lag notification should be sent to a replica that is behind.
-
-        Legacy per-replica probe (bumps ``notifications_sent`` as a side
-        effect).  The cluster's commit path no longer calls this -- it asks
-        :attr:`subscriptions` for the replicas that crossed the threshold,
-        which is O(notified) instead of O(replicas) per commit batch -- but
-        the predicate is kept as the reference definition of "behind enough
-        to nudge" and for direct use by tests and tools."""
-        behind = self.current_version - replica_applied_version
-        if behind >= self.lag_notification_threshold:
-            self.stats.notifications_sent += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Log management

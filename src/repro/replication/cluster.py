@@ -25,7 +25,6 @@ from repro.replication.certifier import Certifier
 from repro.replication.proxy import ProxyConfig
 from repro.replication.recovery import ReplicatedCertifierLog
 from repro.replication.replica import Replica
-from repro.replication.sharding import ShardedCertifier
 
 if TYPE_CHECKING:
     from repro.elasticity.membership import MembershipManager
@@ -76,15 +75,6 @@ class ClusterConfig:
     #: :class:`~repro.replication.recovery.ReplicatedCertifierLog` so the
     #: fault injector can fail the leader over mid-run.
     certifier_backups: int = 0
-    #: Shards of the certification conflict index and log.  1 -- the
-    #: default -- builds the plain global :class:`Certifier`, keeping every
-    #: seeded golden bit-identical by construction.  > 1 builds a
-    #: :class:`~repro.replication.sharding.ShardedCertifier` partitioned by
-    #: (relation, key-range); under the simulator's atomic round trips the
-    #: behaviour is still bit-identical at any shard count (commit versions
-    #: stay one global sequence), while certification state and truncation
-    #: scale per shard.
-    certifier_shards: int = 1
     #: Unreliable-network model (:class:`repro.net.channel.NetworkConfig`).
     #: ``None`` -- the default -- builds no channels at all: certification
     #: round trips and lag notifications take the direct loss-free defer
@@ -99,8 +89,6 @@ class ClusterConfig:
             raise ValueError("num_replicas must be positive")
         if self.certifier_backups < 0:
             raise ValueError("certifier_backups cannot be negative")
-        if self.certifier_shards < 1:
-            raise ValueError("certifier_shards must be at least 1")
         if self.log_truncation_interval_s < 0:
             raise ValueError("log_truncation_interval_s cannot be negative")
         if self.replica_ram_bytes <= self.memory_overhead_bytes:
@@ -231,9 +219,7 @@ class ReplicatedCluster:
         self._planner = QueryPlanner(catalog=self._catalog)
         if self.config.certifier_backups > 0:
             self.certifier = ReplicatedCertifierLog.create(
-                self.config.certifier_backups, shards=self.config.certifier_shards)
-        elif self.config.certifier_shards > 1:
-            self.certifier = ShardedCertifier(num_shards=self.config.certifier_shards)
+                self.config.certifier_backups)
         else:
             self.certifier = Certifier()
         self.monitor = ClusterMonitor(self.sim, interval=self.config.monitor_interval_s)

@@ -21,13 +21,12 @@ This module provides that machinery for the simulated system:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.replication.certifier import (CertificationResult, Certifier,
                                          CertifierStats, LagSubscriptionIndex,
                                          _RpcDedupState)
 from repro.replication.replica import Replica
-from repro.replication.sharding import ShardedCertifier, ShardRouter
 from repro.replication.writeset import CertifiedWriteSet, WriteSet
 
 
@@ -41,8 +40,8 @@ class ReplicatedCertifierLog:
     no committed transaction is lost.
     """
 
-    leader: Union[Certifier, ShardedCertifier]
-    backups: List[Union[Certifier, ShardedCertifier]] = field(default_factory=list)
+    leader: Certifier
+    backups: List[Certifier] = field(default_factory=list)
     #: Lag subscriptions live on the replicated service, not on the leader:
     #: a fail-over must not forget which replicas are registered (the new
     #: leader's own index was never populated).  Created in __post_init__.
@@ -51,44 +50,20 @@ class ReplicatedCertifierLog:
     #: service: a proxy retrying a round trip across a fail-over must be
     #: answered idempotently by the new leader, not re-certified.
     rpc_cache: Dict[int, _RpcDedupState] = field(default_factory=dict)
-    #: Sharded-leader dedup state (the per-shard analogue of ``rpc_cache``;
-    #: see :meth:`ShardedCertifier.certify_rpc`): the global per-origin
-    #: fresh/stale fence plus per-shard decision windows.  Like
-    #: ``rpc_cache``, both live on the wrapper so they survive fail-over.
-    rpc_latest: Dict[int, int] = field(default_factory=dict)
-    _rpc_windows: Optional[List[Dict[int, _RpcDedupState]]] = None
 
     def __post_init__(self) -> None:
         if self.subscriptions is None:
             self.subscriptions = LagSubscriptionIndex(
                 self.leader.lag_notification_threshold)
-        if self._rpc_windows is None:
-            self._rpc_windows = [dict() for _ in range(self.num_shards)]
 
     @property
     def lag_notification_threshold(self) -> int:
         return self.leader.lag_notification_threshold
 
-    @property
-    def num_shards(self) -> int:
-        return self.leader.num_shards
-
-    @property
-    def router(self) -> ShardRouter:
-        """The sharded leader's router (content-based, so every member of
-        the replica group -- and any promoted backup -- routes alike)."""
-        return self.leader.router  # type: ignore[union-attr]
-
     @classmethod
-    def create(cls, num_backups: int = 2, shards: int = 1) -> "ReplicatedCertifierLog":
+    def create(cls, num_backups: int = 2) -> "ReplicatedCertifierLog":
         if num_backups < 0:
             raise ValueError("number of backups cannot be negative")
-        if shards < 1:
-            raise ValueError("shard count must be at least 1")
-        if shards > 1:
-            return cls(leader=ShardedCertifier(num_shards=shards),
-                       backups=[ShardedCertifier(num_shards=shards)
-                                for _ in range(num_backups)])
         return cls(leader=Certifier(), backups=[Certifier() for _ in range(num_backups)])
 
     def certify(self, writeset, snapshot_version: int, now: float = 0.0):
@@ -126,19 +101,11 @@ class ReplicatedCertifierLog:
         ``rpc_cache`` and certification goes through the wrapper's mirrored
         ``certify``, so a retried batch straddling a fail-over is answered
         from cache by the new leader instead of being certified twice.
-
-        With a sharded leader the per-shard dedup variant is reused instead
-        (the wrapper carries ``rpc_latest`` and ``_rpc_windows`` and
-        delegates ``router``), so the partitioned windows survive fail-over
-        the same way.
         """
-        if self.num_shards > 1:
-            return ShardedCertifier.certify_rpc(self, origin_replica, request_id,
-                                                requests, since_version, now=now)
         return Certifier.certify_rpc(self, origin_replica, request_id,
                                      requests, since_version, now=now)
 
-    def fail_over(self, leader_failed: bool = True) -> Union[Certifier, ShardedCertifier]:
+    def fail_over(self, leader_failed: bool = True) -> Certifier:
         """Promote the most up-to-date backup to leader.
 
         By default the old leader is presumed dead and is dropped from the
@@ -182,26 +149,6 @@ class ReplicatedCertifierLog:
 
     def writesets_since(self, version: int, limit: Optional[int] = None) -> List[CertifiedWriteSet]:
         return self.leader.writesets_since(version, limit=limit)
-
-    # --- sharded-leader vector API (per-shard position cursors) --------
-    def cursor_positions(self, version: int) -> List[int]:
-        return self.leader.cursor_positions(version)  # type: ignore[union-attr]
-
-    def writesets_since_sharded(self, positions: Sequence[int]
-                                ) -> Tuple[List[CertifiedWriteSet], List[int]]:
-        return self.leader.writesets_since_sharded(positions)  # type: ignore[union-attr]
-
-    def shard_clocks(self) -> List[int]:
-        return self.leader.shard_clocks()  # type: ignore[union-attr]
-
-    def truncate_shard(self, shard: int, oldest_needed_version: int) -> int:
-        dropped = self.leader.truncate_shard(shard, oldest_needed_version)  # type: ignore[union-attr]
-        for backup in self.backups:
-            backup.truncate_shard(shard, oldest_needed_version)  # type: ignore[union-attr]
-        return dropped
-
-    def should_notify(self, replica_applied_version: int) -> bool:
-        return self.leader.should_notify(replica_applied_version)
 
     def truncate(self, oldest_needed_version: int) -> int:
         dropped = self.leader.truncate(oldest_needed_version)

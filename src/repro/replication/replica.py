@@ -723,26 +723,9 @@ class Replica:
             # Partitioned or the exchange was lost; the periodic pull loop
             # is the retry, so nothing further to arrange.
             return 0
-        proxy = self.proxy
-        certifier = self.certifier
-        if getattr(certifier, "num_shards", 1) > 1:
-            # Sharded certifier: pull through per-shard position cursors
-            # (the partitioned-log path; per-shard suffixes merged back
-            # into global order by commit version).  Cursors are armed
-            # lazily from the scalar applied version and re-armed from the
-            # pull's returned positions -- any apply outside this path
-            # (piggybacked responses, recovery replays) invalidates them.
-            cursors = proxy.shard_cursors
-            if cursors is None:
-                cursors = certifier.cursor_positions(proxy.applied_version)
-            entries, new_cursors = certifier.writesets_since_sharded(cursors)
-            if entries:
-                self.apply_remote_writesets(entries)
-            proxy.shard_cursors = new_cursors
-        else:
-            entries = certifier.writesets_since(proxy.applied_version)
-            if entries:
-                self.apply_remote_writesets(entries)
+        entries = self.certifier.writesets_since(self.proxy.applied_version)
+        if entries:
+            self.apply_remote_writesets(entries)
         obs = self.obs
         if obs is not None:
             obs.record_pull(self.replica_id, trigger, len(entries), self.sim.now)

@@ -1,730 +1,17 @@
-"""Sharded certification: a partitioned conflict index and log.
+"""Name-only residue of the removed multi-shard certifier.
 
-The plain :class:`~repro.replication.certifier.Certifier` is the cluster's
-one remaining global serial point: every update transaction funnels through
-a single conflict index and a single log guarded by one ``current_version``.
-This module partitions both by ``(relation, key-range)`` into N shards, each
-with its own commit clock (count of commits that touched the shard) and its
-own truncation horizon, so certification state -- the index footprint, the
-log retention and the truncation/sweep work -- scales per shard.
-
-Design invariants
------------------
-
-**Global commit sequence.**  Commit versions remain a single dense global
-sequence (``current_version``), exactly as in the plain certifier; a shard's
-"clock" is its *position count*, not a second version namespace.  Each
-shard's inverted index maps ``(relation, key)`` to the *global* version of
-the key's last committed writer, so the GSI conflict rule -- abort iff some
-key's last writer is newer than the transaction's snapshot -- evaluates
-identically at any shard count.  This is what makes ``shards=1`` (and, under
-the simulator's atomic round trips, any shard count) reproduce the plain
-certifier's decisions bit-identically.
-
-**Partitioned log + merged serving view.**  Every committed writeset is
-appended once to each shard it touched (shared object, not a copy) -- the
-per-shard logs are the authoritative partition, with independent truncation
-horizons and position cursors -- and once to a merged, global-order list
-that serves the hot scalar-cursor piggyback (``writesets_since``) in O(1),
-the way the plain certifier's log does.  A real multi-node deployment would
-drop the merged view and stream per-shard logs over per-shard channels; the
-vector-cursor API (:meth:`ShardedCertifier.writesets_since_sharded`) is that
-path, and reassembles the same global order by merging on commit version.
-
-**Cross-shard writesets.**  A writeset whose keys all route to one shard is
-certified against that shard's index alone.  A cross-shard writeset probes
-every involved shard and, on commit, is logged in each; because versions are
-global, no coordination beyond the probe is needed.  A writeset may also
-carry an explicit *vector of shard clocks* (``WriteSet.shard_versions``)
-instead of a scalar snapshot: certification then converts the vector to
-per-shard global floors by reading each shard's log at the observed
-position, in fixed ascending shard-id order, so the merge is deterministic
-regardless of how the vector was assembled.
-
-**Per-shard truncation without gaps.**  ``truncate`` advances a uniform
-floor; ``truncate_shard`` lets one shard's retention advance further (e.g. a
-hot shard trimmed aggressively).  ``oldest_available_version`` advertises
-``max`` over the merged floor and every shard's horizon, so a cold-joining
-replica is either served a complete suffix or told to recover a prefix from
-another copy -- it can never observe a *gap* between one shard's truncated
-prefix and another's retained entries.  The conflict floor is per-shard
-(``max(snapshot, shard_floor)``); dropping a shard's prefix can never hide a
-conflict, because a key's last writer at or below the shard's floor was by
-construction dropped *from that key's own shard*, whose index was swept to
-the same floor.
+The cluster certifies through the single :class:`~repro.replication.\
+certifier.Certifier`, whose log is the one global commit order of the paper
+(Section 4.1).  This class exists only because the traced benchmark pass's
+probe table (``benchmarks/ledger/probes.py``) still names
+``repro.replication.sharding.ShardedCertifier``; it goes with the next change
+to that benchmark.  It defines no methods, so the probes wrap nothing here.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Type,
-                    cast)
-from zlib import crc32
-
-from repro.replication.certifier import (RPC_DEDUP_WINDOW, CertificationResult,
-                                         CertifierStats, LagSubscriptionIndex,
-                                         _RpcDedupState)
-from repro.replication.writeset import CertifiedWriteSet, WriteSet
-
-#: Keys are routed in blocks of ``2**SHARD_RANGE_BITS`` consecutive keys, so
-#: range scans and co-located rows tend to land on one shard; 64-key blocks
-#: keep the per-shard load even for the shipped workloads' key spaces.
-SHARD_RANGE_BITS = 6
-
-#: ``tuple.__new__`` builds a ``CertificationResult`` without going through
-#: NamedTuple's generated Python-level ``__new__`` -- one construction per
-#: certified request, so the wrapper shows up on the hot path.  The cast
-#: gives the call sites the concrete result type.
-_RESULT_NEW = cast(
-    "Callable[[Type[CertificationResult], Tuple[bool, int, Optional[int]]],"
-    " CertificationResult]",
-    tuple.__new__)
+from repro.replication.certifier import Certifier
 
 
-
-class ShardRouter:
-    """Deterministic content-based ``(relation, key) -> shard`` routing.
-
-    The shard of a key is ``(crc32(relation) + (key >> range_bits)) mod N``:
-    a per-relation base offset (so small relations do not all pile onto
-    shard 0) plus the key's range block.  Routing depends only on writeset
-    *content*, never on arrival order or instance state, so every certifier
-    replica (leader, backups, a rebuilt fail-over target) routes
-    identically and routing fingerprints are reproducible across runs.
-    """
-
-    __slots__ = ("num_shards", "range_bits", "_mask", "_rel_base")
-
-    def __init__(self, num_shards: int, range_bits: int = SHARD_RANGE_BITS) -> None:
-        if num_shards < 1:
-            raise ValueError("shard count must be at least 1")
-        if range_bits < 0:
-            raise ValueError("range bits cannot be negative")
-        self.num_shards = num_shards
-        self.range_bits = range_bits
-        # Power-of-two shard counts use a mask on the hot path; 0 means
-        # "use modulo" (num_shards == 1 also lands here and short-circuits).
-        self._mask = num_shards - 1 if num_shards & (num_shards - 1) == 0 else 0
-        self._rel_base: Dict[str, int] = {}
-
-    def relation_base(self, relation: str) -> int:
-        """The relation's routing offset (cached crc32)."""
-        base = self._rel_base.get(relation)
-        if base is None:
-            base = self._rel_base[relation] = crc32(relation.encode())
-        return base
-
-    def shard_of(self, relation: str, key: int) -> int:
-        """Shard id for one key.  Reference implementation; the certifier's
-        batch loop inlines the same arithmetic."""
-        if self.num_shards == 1:
-            return 0
-        block = self.relation_base(relation) + (key >> self.range_bits)
-        if self._mask:
-            return block & self._mask
-        return block % self.num_shards
-
-    def shards_of(self, writeset: WriteSet) -> Tuple[int, ...]:
-        """Distinct shards a writeset touches, ascending (deterministic)."""
-        touched = 0
-        for item in writeset.items:
-            relation = item.relation
-            for key in item.keys:
-                touched |= 1 << self.shard_of(relation, key)
-        out: List[int] = []
-        shard = 0
-        while touched:
-            if touched & 1:
-                out.append(shard)
-            touched >>= 1
-            shard += 1
-        return tuple(out)
-
-
-def _home_shard(router: ShardRouter, requests: Sequence[Tuple[WriteSet, int]]) -> int:
-    """The dedup home of a batched RPC: the lowest shard any of its
-    writesets touches (0 for an empty or read-only batch).  A retransmission
-    carries the same writeset objects, so it routes to the same home and
-    finds its cached decision there.  Module-level so it also serves the
-    :class:`~repro.replication.recovery.ReplicatedCertifierLog` wrapper,
-    which reuses :meth:`ShardedCertifier.certify_rpc` unbound.
-    """
-    home: Optional[int] = None
-    for writeset, _snapshot in requests:
-        for item in writeset.items:
-            relation = item.relation
-            for key in item.keys:
-                shard = router.shard_of(relation, key)
-                if home is None or shard < home:
-                    home = shard
-                    if home == 0:
-                        return 0
-    return 0 if home is None else home
-
-
-class ShardedCertifier:
-    """Certifier with the conflict index and log partitioned into N shards.
-
-    Drop-in for :class:`~repro.replication.certifier.Certifier`: the scalar
-    API (``certify``, ``certify_batch``, ``certify_rpc``,
-    ``writesets_since``, ``truncate``, ``subscriptions``, ``stats``) has
-    identical semantics, and ``shards=1`` reproduces the plain certifier's
-    behaviour bit-for-bit.  On top of it, the vector API exposes the
-    partition: per-shard position cursors (:meth:`writesets_since_sharded`,
-    :meth:`cursor_positions`), per-shard clocks and horizons
-    (:meth:`shard_clock`, :meth:`shard_floor`, :meth:`truncate_shard`) and
-    vector-snapshot certification via ``WriteSet.shard_versions``.
-    """
-
-    def __init__(self, num_shards: int = 1,
-                 lag_notification_threshold: int = 25,
-                 max_log_entries: Optional[int] = None,
-                 range_bits: int = SHARD_RANGE_BITS) -> None:
-        if lag_notification_threshold <= 0:
-            raise ValueError("lag notification threshold must be positive")
-        self.lag_notification_threshold = lag_notification_threshold
-        self.max_log_entries = max_log_entries
-        self.num_shards = num_shards
-        self.router = ShardRouter(num_shards, range_bits)
-        self.subscriptions = LagSubscriptionIndex(lag_notification_threshold)
-        #: Merged serving view: every commit once, in global order.
-        self.log: List[CertifiedWriteSet] = []
-        self._log_offset = 0
-        self.current_version = 0
-        # --- the partition ------------------------------------------------
-        #: Per-shard log: the commits that touched the shard, ascending by
-        #: (global) version; entries are shared with ``log``, not copied.
-        self._shard_logs: List[List[CertifiedWriteSet]] = [[] for _ in range(num_shards)]
-        #: Entries ever dropped from the front of each shard log (so a
-        #: position cursor is ``dropped + list index`` and survives trims).
-        self._shard_dropped: List[int] = [0] * num_shards
-        #: Per-shard truncation horizon: no entry at or below this *global*
-        #: version is retained in (or probed through) the shard.
-        self._shard_floors: List[int] = [0] * num_shards
-        #: Per-shard inverted index: (relation, key) -> global version of
-        #: the key's last committed writer.
-        self._shard_indices: List[Dict[Tuple[str, int], int]] = [dict() for _ in range(num_shards)]
-        #: Serving floor advertised to replicas: max of the merged offset
-        #: and every shard horizon (kept as an attribute so the hot
-        #: ``writesets_since`` check is one comparison).
-        self._avail_floor = 0
-        #: Round-robin cursor for amortised per-shard reclaim: each uniform
-        #: truncation sweeps exactly one shard, so truncation cost does not
-        #: scale with the shard count and staleness is bounded by
-        #: ``num_shards`` truncation rounds per shard.
-        self._reclaim_cursor = 0
-        # --- at-least-once RPC dedup, partitioned -------------------------
-        #: Highest request id ever served per origin, across all shards
-        #: (the global stale check; a per-shard ``latest`` alone would let a
-        #: stale id whose decision was cached in another shard re-certify).
-        self.rpc_latest: Dict[int, int] = {}
-        #: Per-shard dedup windows: shard -> origin -> _RpcDedupState.  A
-        #: batch's cached decision lives in its home shard's window.
-        self._rpc_windows: List[Dict[int, _RpcDedupState]] = [dict() for _ in range(num_shards)]
-        self.stats = CertifierStats()
-        #: Scratch list reused across requests by the batch loop.
-        self._routed: List[Tuple[int, Tuple[str, int]]] = []
-
-    # ------------------------------------------------------------------
-    # Certification
-    # ------------------------------------------------------------------
-    @property
-    def oldest_available_version(self) -> int:
-        """Oldest version a replica can still be served, with *no* gap: the
-        max over the merged floor and every shard's truncation horizon."""
-        return self._avail_floor + 1
-
-    def _vector_floors(self, shard_versions: Sequence[int]) -> List[int]:
-        """Convert an observed vector of shard clocks to per-shard global
-        conflict floors, in fixed ascending shard-id order.
-
-        The floor for shard ``s`` is the global version of the
-        ``shard_versions[s]``-th commit in that shard (its horizon when the
-        observed position fell below the retained prefix, ``0`` when the
-        shard was empty): a transaction that observed the first ``v`` shard
-        commits conflicts exactly with writers the shard appended after
-        position ``v``.
-        """
-        if len(shard_versions) != self.num_shards:
-            raise ValueError(
-                "shard version vector has %d entries for %d shards"
-                % (len(shard_versions), self.num_shards))
-        floors: List[int] = []
-        for shard in range(self.num_shards):
-            observed = shard_versions[shard]
-            if observed < 0:
-                raise ValueError("shard clocks cannot be negative")
-            log = self._shard_logs[shard]
-            dropped = self._shard_dropped[shard]
-            index = min(observed, dropped + len(log)) - dropped - 1
-            if index < 0:
-                floors.append(self._shard_floors[shard] if observed else 0)
-            else:
-                floors.append(log[index].version)
-        return floors
-
-    def certify(self, writeset: WriteSet, snapshot_version: int,
-                now: float = 0.0) -> CertificationResult:
-        """Certify one writeset (reference single-request path).
-
-        ``writeset.shard_versions``, when set, *combines* with the scalar
-        ``snapshot_version``: each key's conflict floor is the max of the
-        scalar snapshot and the floor derived from the observed clock of
-        the key's own shard.  (Combining, not replacing, keeps the
-        backup-mirroring path -- which certifies at
-        ``snapshot = current_version`` to force-accept the leader's
-        decision -- correct for vector writesets too.)
-        """
-        self.stats.requests += 1
-        shard_of = self.router.shard_of
-        indices = self._shard_indices
-        shard_floors = self._shard_floors
-        vector = writeset.shard_versions
-        floors = self._vector_floors(vector) if vector is not None else None
-        conflict: Optional[int] = None
-        for item in writeset.items:
-            relation = item.relation
-            for key in item.keys:
-                shard = shard_of(relation, key)
-                version = indices[shard].get((relation, key))
-                if version is None:
-                    continue
-                floor = snapshot_version
-                if floors is not None and floors[shard] > floor:
-                    floor = floors[shard]
-                if floor < shard_floors[shard]:
-                    floor = shard_floors[shard]
-                if floor < self._log_offset:
-                    floor = self._log_offset
-                if version > floor and (conflict is None or version < conflict):
-                    conflict = version
-        if conflict is not None:
-            self.stats.aborts += 1
-            return CertificationResult(committed=False, version=self.current_version,
-                                       conflict_with=conflict)
-        return self._commit(writeset, now)
-
-    def _commit(self, writeset: WriteSet, now: float) -> CertificationResult:
-        version = self.current_version + 1
-        self.current_version = version
-        entry = CertifiedWriteSet(version, writeset, now)
-        self.log.append(entry)
-        shard_of = self.router.shard_of
-        indices = self._shard_indices
-        shard_logs = self._shard_logs
-        touched = 0
-        for item in writeset.items:
-            relation = item.relation
-            for key in item.keys:
-                shard = shard_of(relation, key)
-                indices[shard][(relation, key)] = version
-                bit = 1 << shard
-                if not touched & bit:
-                    touched |= bit
-                    shard_logs[shard].append(entry)
-        self.stats.commits += 1
-        self._maybe_trim()
-        return CertificationResult(committed=True, version=version)
-
-    def certify_batch(self, requests: Sequence[Tuple[WriteSet, int]],
-                      since_version: int, now: float = 0.0
-                      ) -> Tuple[List[CertificationResult], List[CertifiedWriteSet]]:
-        """Serve one proxy's batched round trip (hot path).
-
-        Semantics match :meth:`Certifier.certify_batch` exactly -- FIFO
-        within the batch, piggyback computed after it -- but the loop is
-        inlined: routing, probe and index write run against hoisted shard
-        state, and stats are accumulated per batch, which is where the
-        single-core throughput of the `certifier-sharded` scenario comes
-        from.
-        """
-        stats = self.stats
-        stats.batches += 1
-        stats.batched_requests += len(requests)
-        stats.requests += len(requests)
-        num_shards = self.num_shards
-        mask = self.router._mask
-        range_bits = self.router.range_bits
-        rel_base = self.router._rel_base
-        crc = crc32
-        indices = self._shard_indices
-        shard_logs = self._shard_logs
-        shard_floors = self._shard_floors
-        merged = self.log
-        merged_append = merged.append
-        gfloor = self._log_offset
-        version = self.current_version
-        commits = 0
-        aborts = 0
-        results: List[CertificationResult] = []
-        append_r = results.append
-        routed = self._routed
-        single = num_shards == 1
-        index0 = indices[0]
-        # Construct results through tuple.__new__ directly: NamedTuple's
-        # generated __new__ is a Python-level wrapper and this loop builds
-        # one result per request.
-        new_result = _RESULT_NEW
-        result_cls = CertificationResult
-        for writeset, snapshot in requests:
-            if writeset.shard_versions is not None:
-                # Vector-snapshot writesets take the reference path; they
-                # only occur on the explicit cross-shard API, not in the
-                # simulator's scalar round trips.  certify() keeps its own
-                # request/commit/abort counts, so back out the bulk ones.
-                self.current_version = version
-                stats.requests -= 1
-                result = self.certify(writeset, snapshot, now=now)
-                version = self.current_version
-                if result.committed:
-                    stats.commits -= 1
-                    commits += 1
-                else:
-                    stats.aborts -= 1
-                    aborts += 1
-                append_r(result)
-                continue
-            start = snapshot if snapshot > gfloor else gfloor
-            conflict: Optional[int] = None
-            del routed[:]
-            route = routed.append
-            ws_shard = -1
-            ws_multi = False
-            if single:
-                for item in writeset.items:
-                    relation = item.relation
-                    for key in item.keys:
-                        ck = (relation, key)
-                        route((0, ck))
-                        v = index0.get(ck)
-                        if v is not None and v > start:
-                            if conflict is None or v < conflict:
-                                conflict = v
-            else:
-                last_rel = None
-                base = 0
-                for item in writeset.items:
-                    relation = item.relation
-                    if relation is not last_rel:
-                        last_rel = relation
-                        base = rel_base.get(relation)
-                        if base is None:
-                            base = rel_base[relation] = crc(relation.encode())
-                    for key in item.keys:
-                        if mask:
-                            shard = (base + (key >> range_bits)) & mask
-                        else:
-                            shard = (base + (key >> range_bits)) % num_shards
-                        if shard != ws_shard:
-                            if ws_shard < 0:
-                                ws_shard = shard
-                            else:
-                                ws_multi = True
-                        ck = (relation, key)
-                        route((shard, ck))
-                        v = indices[shard].get(ck)
-                        if v is not None and v > start and v > shard_floors[shard]:
-                            if conflict is None or v < conflict:
-                                conflict = v
-            if conflict is not None:
-                aborts += 1
-                append_r(new_result(result_cls, (False, version, conflict)))
-                continue
-            version += 1
-            entry = CertifiedWriteSet(version, writeset, now)
-            merged_append(entry)
-            if single:
-                for _, ck in routed:
-                    index0[ck] = version
-                shard_logs[0].append(entry)
-            elif not ws_multi:
-                # Single-shard writeset: the common case in a partitioned
-                # workload certifies against exactly one shard.
-                index = indices[ws_shard]
-                for _, ck in routed:
-                    index[ck] = version
-                shard_logs[ws_shard].append(entry)
-            else:
-                touched = 0
-                for shard, ck in routed:
-                    indices[shard][ck] = version
-                    bit = 1 << shard
-                    if not touched & bit:
-                        touched |= bit
-                        shard_logs[shard].append(entry)
-            commits += 1
-            append_r(new_result(result_cls, (True, version, None)))
-        self.current_version = version
-        stats.commits += commits
-        stats.aborts += aborts
-        if commits and self.max_log_entries is not None:
-            self._maybe_trim()
-        return results, self.writesets_since(since_version)
-
-    def certify_rpc(self, origin_replica: int, request_id: int,
-                    requests: Sequence[Tuple[WriteSet, int]],
-                    since_version: int, now: float = 0.0
-                    ) -> Tuple[Optional[List[CertificationResult]],
-                               List[CertifiedWriteSet]]:
-        """At-least-once batched round trip with a *per-shard* dedup window.
-
-        The cached decision of a batch lives in the window of its home
-        shard (lowest shard it touches); a retransmission carries the same
-        writesets, routes to the same home, and is answered from cache.
-        The fresh/stale fence (highest id ever served per origin) stays
-        global across shards -- with only per-shard ``latest`` fences, a
-        stale retransmission whose decision was cached under a *different*
-        home shard would look fresh and be certified twice.
-
-        Works unbound for the replicated wrapper
-        (:class:`~repro.replication.recovery.ReplicatedCertifierLog`
-        carries its own ``rpc_latest``/``_rpc_windows`` and delegates
-        ``router``), so the partitioned dedup state survives fail-over.
-        """
-        home = _home_shard(self.router, requests)
-        windows = self._rpc_windows[home]
-        cache = windows.get(origin_replica)
-        if cache is None:
-            cache = windows[origin_replica] = _RpcDedupState()
-        window = cache.window
-        cached = window.get(request_id)
-        if cached is not None:
-            self.stats.dedup_hits += 1
-            return cached, self.writesets_since(since_version)
-        if request_id <= self.rpc_latest.get(origin_replica, 0):
-            self.stats.stale_requests += 1
-            return None, []
-        self.rpc_latest[origin_replica] = request_id
-        cache.latest = request_id
-        results, piggyback = self.certify_batch(requests, since_version, now=now)
-        window[request_id] = results
-        while len(window) > RPC_DEDUP_WINDOW:
-            del window[next(iter(window))]
-        return results, piggyback
-
-    # ------------------------------------------------------------------
-    # Update propagation: scalar (merged) and vector (per-shard) cursors
-    # ------------------------------------------------------------------
-    def writesets_since(self, version: int, limit: Optional[int] = None
-                        ) -> List[CertifiedWriteSet]:
-        """Committed writesets newer than ``version``, in global order."""
-        if version < self._avail_floor:
-            raise KeyError(
-                "replica requests version %d but certification history starts at %d; "
-                "recovery is required" % (version, self._avail_floor + 1))
-        start = version - self._log_offset
-        if limit is not None:
-            return self.log[start:start + limit]
-        return self.log[start:]
-
-    def cursor_positions(self, version: int) -> List[int]:
-        """Per-shard position cursors equivalent to scalar cursor ``version``.
-
-        ``positions[s]`` counts the shard's commits at or below ``version``
-        (in absolute positions, surviving truncation), so a subsequent
-        :meth:`writesets_since_sharded` serves exactly the entries a scalar
-        ``writesets_since(version)`` would.
-        """
-        if version < self._avail_floor:
-            raise KeyError(
-                "replica requests version %d but certification history starts at %d; "
-                "recovery is required" % (version, self._avail_floor + 1))
-        positions: List[int] = []
-        for shard in range(self.num_shards):
-            log = self._shard_logs[shard]
-            newer = 0
-            for entry in reversed(log):
-                if entry.version <= version:
-                    break
-                newer += 1
-            positions.append(self._shard_dropped[shard] + len(log) - newer)
-        return positions
-
-    def writesets_since_sharded(self, positions: Sequence[int]
-                                ) -> Tuple[List[CertifiedWriteSet], List[int]]:
-        """Serve a vector-cursor pull: per-shard suffixes merged by commit
-        version into global order.
-
-        ``positions`` are absolute per-shard positions (as returned here or
-        by :meth:`cursor_positions`).  Cross-shard entries appear in every
-        involved shard's suffix and are deduplicated on their (globally
-        unique) version during the merge.  Raises ``KeyError`` when a
-        cursor points below a shard's dropped prefix -- the replica must
-        recover, it cannot be served a suffix with a hole in it.
-        """
-        if len(positions) != self.num_shards:
-            raise ValueError("cursor vector has %d entries for %d shards"
-                             % (len(positions), self.num_shards))
-        gathered: List[CertifiedWriteSet] = []
-        new_positions: List[int] = []
-        for shard in range(self.num_shards):
-            dropped = self._shard_dropped[shard]
-            log = self._shard_logs[shard]
-            start = positions[shard] - dropped
-            if start < 0:
-                raise KeyError(
-                    "shard %d cursor %d is below its retained prefix (%d dropped); "
-                    "recovery is required" % (shard, positions[shard], dropped))
-            if start < len(log):
-                gathered.extend(log[start:])
-            new_positions.append(dropped + len(log))
-        if not gathered:
-            return [], new_positions
-        gathered.sort(key=_entry_version)
-        merged: List[CertifiedWriteSet] = [gathered[0]]
-        merged_append = merged.append
-        last = gathered[0].version
-        for entry in gathered:
-            if entry.version != last:
-                merged_append(entry)
-                last = entry.version
-        return merged, new_positions
-
-    def should_notify(self, replica_applied_version: int) -> bool:
-        """Merged-watermark lag probe (see :meth:`Certifier.should_notify`)."""
-        behind = self.current_version - replica_applied_version
-        if behind >= self.lag_notification_threshold:
-            self.stats.notifications_sent += 1
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Shard introspection
-    # ------------------------------------------------------------------
-    def shard_clock(self, shard: int) -> int:
-        """Commits that have touched the shard (its position clock)."""
-        return self._shard_dropped[shard] + len(self._shard_logs[shard])
-
-    def shard_clocks(self) -> List[int]:
-        return [self.shard_clock(s) for s in range(self.num_shards)]
-
-    def shard_floor(self, shard: int) -> int:
-        """The shard's truncation horizon (a global version)."""
-        return self._shard_floors[shard]
-
-    def shard_log_lengths(self) -> List[int]:
-        return [len(log) for log in self._shard_logs]
-
-    def index_sizes(self) -> List[int]:
-        return [len(index) for index in self._shard_indices]
-
-    # ------------------------------------------------------------------
-    # Log management
-    # ------------------------------------------------------------------
-    def truncate(self, oldest_needed_version: int) -> int:
-        """Uniformly drop entries no replica needs.  Returns merged entries
-        dropped (parity with :meth:`Certifier.truncate`).
-
-        Only the merged prefix drop and the per-shard floor bumps -- the
-        O(shards) part certification correctness depends on, since probes
-        treat index entries at or below the floor as absent -- happen on
-        every call.  The per-shard log-prefix drop and index sweep are pure
-        memory reclaim and are amortised round-robin, one shard per call,
-        so truncation cost does not scale with the shard count and no
-        shard goes more than ``num_shards`` rounds without a sweep.
-        """
-        if oldest_needed_version <= self._log_offset:
-            return 0
-        drop = min(oldest_needed_version - self._log_offset, len(self.log))
-        if drop > 0:
-            del self.log[:drop]
-            self._log_offset += drop
-        floor = self._log_offset
-        floors = self._shard_floors
-        for shard in range(self.num_shards):
-            if floor > floors[shard]:
-                floors[shard] = floor
-        self._avail_floor = max(self._log_offset, max(floors))
-        cursor = self._reclaim_cursor
-        self._reclaim_shard(cursor)
-        self._reclaim_cursor = cursor + 1 if cursor + 1 < self.num_shards else 0
-        return drop
-
-    def truncate_shard(self, shard: int, oldest_needed_version: int) -> int:
-        """Advance one shard's retention beyond the uniform floor.
-
-        The merged view keeps serving scalar cursors above the *merged*
-        floor; the advertised ``oldest_available_version`` rises with the
-        shard horizon so vector cursors never see a gap.  Returns the
-        number of shard-log entries dropped.
-        """
-        dropped = self._truncate_shard_to(shard, oldest_needed_version)
-        self._avail_floor = max(self._log_offset, max(self._shard_floors))
-        return dropped
-
-    def _truncate_shard_to(self, shard: int, floor: int) -> int:
-        if floor <= self._shard_floors[shard]:
-            return 0
-        self._shard_floors[shard] = floor
-        return self._reclaim_shard(shard)
-
-    def _reclaim_shard(self, shard: int) -> int:
-        """Drop the shard-log prefix and index entries at or below the
-        shard's floor.  Pure memory reclaim: probes, clocks and cursors
-        already treat entries at or below the floor as absent, so this can
-        run lazily (``shard_clock`` is ``dropped + len(log)``, which the
-        prefix drop preserves)."""
-        floor = self._shard_floors[shard]
-        log = self._shard_logs[shard]
-        cut = 0
-        for entry in log:
-            if entry.version > floor:
-                break
-            cut += 1
-        if cut:
-            del log[:cut]
-            self._shard_dropped[shard] += cut
-        index = self._shard_indices[shard]
-        if index:
-            stale = [ck for ck, version in index.items() if version <= floor]
-            for ck in stale:
-                del index[ck]
-        return cut
-
-    def _maybe_trim(self) -> None:
-        if self.max_log_entries is None:
-            return
-        excess = len(self.log) - self.max_log_entries
-        if excess > 0:
-            # Cheap on the commit path: advance the merged floor only; the
-            # per-shard prefixes and index sweeps are aligned amortised,
-            # once staleness could dominate a shard's footprint.
-            del self.log[:excess]
-            self._log_offset += excess
-            if self._avail_floor < self._log_offset:
-                self._avail_floor = self._log_offset
-            total_index = 0
-            for index in self._shard_indices:
-                total_index += len(index)
-            if total_index > 256 and total_index > 8 * len(self.log):
-                floor = self._log_offset
-                floors = self._shard_floors
-                for shard in range(self.num_shards):
-                    if floor > floors[shard]:
-                        floors[shard] = floor
-                    self._reclaim_shard(shard)
-
-    def log_is_total_order(self) -> bool:
-        """Invariant check: the merged log is dense and increasing, every
-        shard log is strictly increasing, and shard entries are drawn from
-        the merged sequence."""
-        expected = self._log_offset + 1
-        for entry in self.log:
-            if entry.version != expected:
-                return False
-            expected += 1
-        for shard in range(self.num_shards):
-            # Strictly increasing; a not-yet-reclaimed prefix at or below
-            # the shard floor is legal (reclaim is amortised).
-            previous = 0
-            for entry in self._shard_logs[shard]:
-                if entry.version <= previous:
-                    return False
-                previous = entry.version
-        return True
-
-
-def _entry_version(entry: CertifiedWriteSet) -> int:
-    return entry.version
-
-
-__all__ = ["SHARD_RANGE_BITS", "ShardRouter", "ShardedCertifier"]
+class ShardedCertifier(Certifier):
+    """Placeholder kept for the benchmark probe table; not used anywhere."""

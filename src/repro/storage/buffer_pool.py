@@ -168,13 +168,6 @@ class BufferPool:
         """Relations with any cached bytes, LRU (oldest) first."""
         return [name for name, state in self._relations.items() if state.resident > 0]
 
-    def resident_fraction(self, relation: str) -> float:
-        """Fraction of the relation's hot set currently cached."""
-        state = self._relations.get(relation)
-        if state is None or state.hot_max <= 0:
-            return 0.0
-        return min(1.0, state.resident / state.hot_max)
-
     def hot_set_bytes_of(self, relation: str) -> float:
         """Largest hot set ever observed for ``relation`` (0 if untracked)."""
         state = self._relations.get(relation)

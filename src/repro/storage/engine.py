@@ -105,12 +105,6 @@ class WriteSet:
     items: Tuple[WriteItem, ...]
     origin_replica: Optional[int] = None
     snapshot_version: int = 0
-    #: Optional vector of observed per-shard commit clocks, for cross-shard
-    #: certification against a ShardedCertifier: element ``s`` is how many
-    #: commits of shard ``s`` the transaction's snapshot included.  ``None``
-    #: (the default, and always the case for the scalar in-sim round trips)
-    #: means "use the scalar ``snapshot_version``".
-    shard_versions: Optional[Tuple[int, ...]] = None
 
     @property
     def tables(self) -> Tuple[str, ...]:
@@ -144,7 +138,6 @@ class WriteSet:
             items=tuple(item for item in self.items if item.relation in wanted),
             origin_replica=self.origin_replica,
             snapshot_version=self.snapshot_version,
-            shard_versions=self.shard_versions,
         )
 
 
