@@ -9,11 +9,21 @@ Tracking individual 8 KB pages of a multi-gigabyte database would be far too
 expensive for a simulator that runs hundreds of configurations, so this
 buffer pool tracks *fractional residency per relation hot set*: for every
 (relation, hot-set) pair it records how many bytes of that hot set are
-currently cached, and it maintains LRU ordering across relations.  On a
-random access the expected number of page misses is the access size times
-the non-resident fraction of the hot set; on a sequential scan, the miss
-volume is the non-resident part of the whole relation.  Evictions shave
-bytes off the least-recently-used relations.
+currently cached, and it maintains LRU ordering across relations.  On an
+access of ``b`` bytes within a hot set of ``h`` bytes of which ``r`` are
+resident, the expected miss volume is ``b * (1 - min(1, r / h) ** skew)``,
+and the relation's residency grows by the misses, capped at the largest hot
+set ever seen for it and at the pool capacity.  Evictions shave bytes off
+the least-recently-used relations, oldest first; the relation being
+accessed is evicted last, and only if it alone overflows the pool.  A
+relation whose bytes are all evicted is forgotten.
+
+The engine charges every read -- index descents, table fetches, writes and
+sequential scans alike -- through that skewed curve: a scan of a relation
+is an access of its whole hot set, ``(hot, hot)``, flagged sequential so
+its misses are costed as sequential I/O.  :meth:`BufferPool.scan`, which
+instead misses the non-resident part of the whole relation and then loads
+it, is only called by tests.
 
 This approximation reproduces the behaviours the paper relies on:
 
@@ -22,27 +32,34 @@ This approximation reproduces the behaviours the paper relies on:
 * when it does not, the steady-state miss rate approaches
   ``1 - capacity / combined_hot_set`` for random accesses, i.e. the replica
   does disk I/O on most transactions;
-* a large sequential scan displaces other relations' pages abruptly, which
-  is exactly the "large request wipes out memory" effect that breaks LARD.
+* a large scan displaces other relations' pages abruptly, which is exactly
+  the "large request wipes out memory" effect that breaks LARD.
 
-Implementation notes: ``access`` is the single hottest function of the whole
-simulator (it runs several times per transaction), so per-relation state
+Implementation notes: charging the pool is the hottest step of the
+simulator, so the engine compiles each transaction type into one sequence
+of operations and :meth:`BufferPool.access` charges the whole sequence in a
+single pass, keeping the running totals, the stats counters and the most
+recently used relation in locals until the pass ends.  Per-relation state
 lives in one ``__slots__`` record reached through a single ``OrderedDict``
-lookup, and the pool keeps a running residency total so neither the
-accessors nor the eviction trigger ever re-sum the relation map.  Two more
-fast-path facts are maintained incrementally: the most recently used
-relation (so the common access-the-same-relation-again case skips the
-``move_to_end`` re-probe entirely), and the combined hot-set watermark
-(``_hot_total``): while the combined hot sets fit in capacity the pool can
-never overflow -- per-relation residency is capped at the hot watermark --
-so the eviction trigger is short-circuited to one attribute test instead of
-being evaluated per access.
+lookup, and the pool keeps a running residency total so nothing re-sums the
+relation map.  Consecutive operations on the same relation skip the
+``move_to_end`` re-probe.  While the combined hot-set watermark
+(``_hot_total``) fits in capacity the pool cannot overflow -- residency per
+relation is capped at its watermark -- so the eviction trigger is one
+attribute test.  When it does fire, the pass handles the common case inline:
+the LRU relation holds more than the excess, so it is shaved and stays.
+Everything else -- several victims, or a victim that empties -- goes to
+:meth:`BufferPool._evict_to_capacity`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
+
+#: One buffer-pool operation: ``(relation, bytes_needed, hot_set_bytes,
+#: sequential)``.  See :meth:`BufferPool.access`.
+PoolOp = Tuple[str, float, float, bool]
 
 
 class BufferPoolStats:
@@ -145,7 +162,9 @@ class BufferPool:
         self.stats = BufferPoolStats()
         #: Optional callback(freed_bytes) fired after each eviction pass
         #: (observability).  None by default: the eviction path pays one
-        #: attribute test when nothing is attached.
+        #: attribute test when nothing is attached.  It may fire in the
+        #: middle of an ``access`` pass, before the pool's totals and
+        #: stats are settled, so it should use only its argument.
         self.on_evict: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
@@ -185,115 +204,148 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Access paths
     # ------------------------------------------------------------------
-    def access(self, relation: str, bytes_needed: float, hot_set_bytes: float) -> float:
-        """Random access of ``bytes_needed`` bytes within a hot set.
+    def access(self, ops: Iterable[PoolOp]) -> Tuple[float, float]:
+        """Charge a sequence of accesses, in order, in one pass.
 
-        Returns the number of bytes that must be read from disk (expected
-        miss volume).  The cached fraction of the hot set grows by the miss
-        volume, displacing least-recently-used data if necessary.
+        Each operation is ``(relation, bytes_needed, hot_set_bytes,
+        sequential)``: ``bytes_needed`` bytes are read within a hot set of
+        ``hot_set_bytes``.  The expected misses are read from disk and
+        become resident, displacing least-recently-used data if necessary;
+        ``sequential`` only selects which of the two returned totals a miss
+        is added to.  Returns ``(random_miss_bytes, sequential_miss_bytes)``,
+        each summed in operation order.  One call of ``k`` operations leaves
+        the pool exactly as ``k`` one-operation calls would.
         """
-        if bytes_needed < 0:
-            raise ValueError("bytes_needed must be non-negative")
-        if hot_set_bytes <= 0:
-            return 0.0
-        if bytes_needed > hot_set_bytes:
-            bytes_needed = hot_set_bytes
-
         relations = self._relations
-        state = relations.get(relation)
-        if state is None:
-            relations[relation] = state = _RelationState(0.0, hot_set_bytes)
-            hot_total = self._hot_total + hot_set_bytes
-            self._hot_total = hot_total
-            self._maybe_evict = hot_total > self._capacity_f
-            self._mru = relation        # inserted at the MRU end
-            resident = 0.0
-        else:
-            resident = state.resident
-            if hot_set_bytes > state.hot_max:
-                hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
-                self._hot_total = hot_total
-                self._maybe_evict = hot_total > self._capacity_f
-                state.hot_max = hot_set_bytes
-            if relation != self._mru:
-                relations.move_to_end(relation)
-                self._mru = relation
-        # hit fraction = min(1, resident/hot) ** skew, with the exact 0 / 1
-        # endpoints short-circuited (x**skew is by far the costliest op here
-        # and steady-state accesses to a fully resident hot set are common).
-        if resident >= hot_set_bytes:
-            miss_bytes = 0.0
-        else:
-            if resident > 0.0:
-                # Exact one-point memo per relation (see _RelationState):
-                # at a pinned operating point -- residency capped by pool
-                # capacity or the hot-set watermark -- successive accesses
-                # re-evaluate pow at identical inputs.
-                if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
-                    hit_fraction = state.pow_hit
-                else:
-                    hit_fraction = (resident / hot_set_bytes) ** self.skew
-                    state.pow_resident = resident
-                    state.pow_hot = hot_set_bytes
-                    state.pow_hit = hit_fraction
-                miss_bytes = bytes_needed * (1.0 - hit_fraction)
-            else:
-                miss_bytes = bytes_needed
-
-            # Bring the missed bytes into the cache.  Residency is capped at
-            # the largest hot set ever observed for the relation (not this
-            # access's hot set -- a narrow access must never shrink what is
-            # cached) and at the pool capacity.
-            new_resident = resident + miss_bytes
-            if new_resident > state.hot_max:
-                new_resident = state.hot_max
-            if new_resident > self._capacity_f:
-                new_resident = self._capacity_f
-            state.resident = new_resident
-            self._resident_total += new_resident - resident
-            if self._maybe_evict and self._resident_total > self.capacity_bytes:
-                self._evict_to_capacity(protect=relation)
-
         stats = self.stats
-        stats.accesses += 1
-        stats.bytes_requested += bytes_needed
-        stats.bytes_missed += miss_bytes
-        return miss_bytes
+        capacity = self._capacity_f
+        skew = self.skew
+        resident_total = self._resident_total
+        mru = self._mru
+        accesses = stats.accesses
+        requested = stats.bytes_requested
+        missed = stats.bytes_missed
+        random_miss = 0.0
+        sequential_miss = 0.0
+        try:
+            for relation, bytes_needed, hot_set_bytes, sequential in ops:
+                if bytes_needed < 0:
+                    raise ValueError("bytes_needed must be non-negative")
+                if hot_set_bytes <= 0:
+                    continue
+                if bytes_needed > hot_set_bytes:
+                    bytes_needed = hot_set_bytes
+
+                state = relations.get(relation)
+                if state is None:
+                    relations[relation] = state = _RelationState(0.0, hot_set_bytes)
+                    hot_total = self._hot_total + hot_set_bytes
+                    self._hot_total = hot_total
+                    self._maybe_evict = hot_total > capacity
+                    mru = relation          # inserted at the MRU end
+                    resident = 0.0
+                else:
+                    resident = state.resident
+                    if hot_set_bytes > state.hot_max:
+                        hot_total = self._hot_total + (hot_set_bytes - state.hot_max)
+                        self._hot_total = hot_total
+                        self._maybe_evict = hot_total > capacity
+                        state.hot_max = hot_set_bytes
+                    if relation != mru:
+                        relations.move_to_end(relation)
+                        mru = relation
+                # hit fraction = min(1, resident/hot) ** skew, with the exact
+                # 0 / 1 endpoints short-circuited (x**skew is by far the
+                # costliest op here and steady-state accesses to a fully
+                # resident hot set are common).
+                if resident >= hot_set_bytes:
+                    miss_bytes = 0.0
+                else:
+                    if resident > 0.0:
+                        # Exact one-point memo per relation (see
+                        # _RelationState): at a pinned operating point --
+                        # residency capped by pool capacity or the hot-set
+                        # watermark -- successive accesses re-evaluate pow
+                        # at identical inputs.
+                        if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
+                            hit_fraction = state.pow_hit
+                        else:
+                            hit_fraction = (resident / hot_set_bytes) ** skew
+                            state.pow_resident = resident
+                            state.pow_hot = hot_set_bytes
+                            state.pow_hit = hit_fraction
+                        miss_bytes = bytes_needed * (1.0 - hit_fraction)
+                    else:
+                        miss_bytes = bytes_needed
+
+                    # Bring the missed bytes into the cache.  Residency is
+                    # capped at the largest hot set ever observed for the
+                    # relation (not this access's hot set -- a narrow access
+                    # must never shrink what is cached) and at the pool
+                    # capacity.
+                    new_resident = resident + miss_bytes
+                    if new_resident > state.hot_max:
+                        new_resident = state.hot_max
+                    if new_resident > capacity:
+                        new_resident = capacity
+                    state.resident = new_resident
+                    resident_total += new_resident - resident
+                    if self._maybe_evict and resident_total > capacity:
+                        excess = resident_total - capacity
+                        for victim in relations.values():
+                            break
+                        victim_resident = victim.resident
+                        if victim_resident > excess:
+                            # One LRU victim absorbs the whole excess and
+                            # keeps bytes: _evict_to_capacity's arithmetic
+                            # for its first victim, without the drop.  The
+                            # accessed relation sits at the MRU end, so it
+                            # is the victim only when it is alone, where
+                            # the protected-relation branch does the same.
+                            victim.resident = victim_resident - excess
+                            resident_total -= excess
+                            evicted_before = stats.evicted_bytes
+                            stats.evicted_bytes = evicted_after = evicted_before + excess
+                            on_evict = self.on_evict
+                            if on_evict is not None:
+                                freed = evicted_after - evicted_before
+                                if freed > 0:
+                                    on_evict(freed)
+                        else:
+                            self._resident_total = resident_total
+                            self._mru = mru
+                            self._evict_to_capacity(protect=relation)
+                            resident_total = self._resident_total
+                            mru = self._mru
+
+                if sequential:
+                    sequential_miss += miss_bytes
+                else:
+                    random_miss += miss_bytes
+                accesses += 1
+                requested += bytes_needed
+                missed += miss_bytes
+        finally:
+            self._resident_total = resident_total
+            self._mru = mru
+            stats.accesses = accesses
+            stats.bytes_requested = requested
+            stats.bytes_missed = missed
+        return random_miss, sequential_miss
 
     def scan(self, relation: str, relation_bytes: float) -> float:
-        """Sequential scan of the whole relation.
+        """Sequential scan of the whole relation (only tests call this).
 
         Returns the miss volume (the non-resident part of the relation).
         After the scan the relation is fully resident up to pool capacity.
+        The engine does not use this path: it charges scans through
+        :meth:`access` as ``(hot, hot)`` operations.
         """
         if relation_bytes <= 0:
             return 0.0
-        relations = self._relations
-        state = relations.get(relation)
-        if state is None:
-            relations[relation] = state = _RelationState(0.0, relation_bytes)
-            hot_total = self._hot_total + relation_bytes
-            self._hot_total = hot_total
-            self._maybe_evict = hot_total > self._capacity_f
-            self._mru = relation
-            resident = 0.0
-        else:
-            resident = state.resident
-            if relation_bytes > state.hot_max:
-                hot_total = self._hot_total + (relation_bytes - state.hot_max)
-                self._hot_total = hot_total
-                self._maybe_evict = hot_total > self._capacity_f
-                state.hot_max = relation_bytes
-            if relation != self._mru:
-                relations.move_to_end(relation)
-                self._mru = relation
+        state, resident = self._touch(relation, relation_bytes)
         miss_bytes = max(0.0, relation_bytes - resident)
-
-        new_resident = min(relation_bytes, self._capacity_f)
-        state.resident = new_resident
-        self._resident_total += new_resident - resident
-        if self._maybe_evict and self._resident_total > self.capacity_bytes:
-            self._evict_to_capacity(protect=relation)
+        self._settle(relation, state, min(relation_bytes, self._capacity_f), resident)
 
         stats = self.stats
         stats.accesses += 1
@@ -333,30 +385,9 @@ class BufferPool:
         hot = hot_set_bytes if hot_set_bytes is not None else resident_bytes
         if hot <= 0:
             return
-        relations = self._relations
-        state = relations.get(relation)
-        if state is None:
-            relations[relation] = state = _RelationState(0.0, hot)
-            hot_total = self._hot_total + hot
-            self._hot_total = hot_total
-            self._maybe_evict = hot_total > self._capacity_f
-            self._mru = relation
-            previous = 0.0
-        else:
-            previous = state.resident
-            if hot > state.hot_max:
-                hot_total = self._hot_total + (hot - state.hot_max)
-                self._hot_total = hot_total
-                self._maybe_evict = hot_total > self._capacity_f
-                state.hot_max = hot
-            if relation != self._mru:
-                relations.move_to_end(relation)
-                self._mru = relation
-        new_resident = min(float(resident_bytes), hot, self._capacity_f)
-        state.resident = new_resident
-        self._resident_total += new_resident - previous
-        if self._maybe_evict and self._resident_total > self.capacity_bytes:
-            self._evict_to_capacity(protect=relation)
+        state, previous = self._touch(relation, hot)
+        self._settle(relation, state,
+                     min(float(resident_bytes), hot, self._capacity_f), previous)
 
     def clear(self) -> None:
         """Empty the pool (cold restart of a replica)."""
@@ -365,6 +396,39 @@ class BufferPool:
         self._hot_total = 0.0
         self._maybe_evict = False
         self._mru = None
+
+    def _touch(self, relation: str, hot: float) -> Tuple[_RelationState, float]:
+        """Track ``relation`` with hot set ``hot`` and make it the MRU.
+
+        Returns its state and its resident bytes before the touch.  The
+        cold-path counterpart of the preamble inlined in :meth:`access`.
+        """
+        relations = self._relations
+        state = relations.get(relation)
+        if state is None:
+            relations[relation] = state = _RelationState(0.0, hot)
+            hot_total = self._hot_total + hot
+            self._hot_total = hot_total
+            self._maybe_evict = hot_total > self._capacity_f
+            self._mru = relation
+            return state, 0.0
+        if hot > state.hot_max:
+            hot_total = self._hot_total + (hot - state.hot_max)
+            self._hot_total = hot_total
+            self._maybe_evict = hot_total > self._capacity_f
+            state.hot_max = hot
+        if relation != self._mru:
+            relations.move_to_end(relation)
+            self._mru = relation
+        return state, state.resident
+
+    def _settle(self, relation: str, state: _RelationState,
+                new_resident: float, previous: float) -> None:
+        """Set a touched relation's residency and evict any overflow."""
+        state.resident = new_resident
+        self._resident_total += new_resident - previous
+        if self._maybe_evict and self._resident_total > self.capacity_bytes:
+            self._evict_to_capacity(protect=relation)
 
     # ------------------------------------------------------------------
     # Eviction

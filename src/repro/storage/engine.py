@@ -20,17 +20,19 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.storage.buffer_pool import BufferPool
+from repro.storage.buffer_pool import BufferPool, PoolOp
 from repro.storage.catalog import Catalog
 from repro.storage.pages import PAGE_SIZE_BYTES
 from repro.storage.snapshot import SnapshotManager
-from repro.workloads.spec import AccessPattern, TableAccess, TransactionType
+from repro.workloads.spec import AccessPattern, TransactionType
 
-# Cached per-access read plan: (access, catalog version, is_scan, relation,
-# hot-set bytes, scan CPU seconds, touched bytes, index name, index touched
-# bytes, index hot-set bytes, is_bulk).  See DatabaseEngine._plan_read.
-_ReadPlan = Tuple[TableAccess, int, bool, str, float, float, float,
-                  Optional[str], float, float, bool]
+# A transaction type compiled against one catalog version: (type, CPU
+# seconds, buffer-pool operations, write bytes, writes).  Each write is
+# (relation, rows, key space, writeset bytes, pages dirtied).  See
+# DatabaseEngine._compile.
+_WritePlan = Tuple[str, int, int, int, int]
+_TxnPlan = Tuple[TransactionType, float, Tuple[PoolOp, ...], float,
+                 Tuple[_WritePlan, ...]]
 
 
 class TransactionWork:
@@ -195,15 +197,14 @@ class DatabaseEngine:
         self.transactions_executed = 0
         self.writesets_applied = 0
         self.writesets_filtered = 0
-        # Per-access execution plans (sizes, hot sets, index choice) derived
-        # purely from catalog metadata.  Keyed by the identity of the spec's
-        # long-lived AccessSpec objects and invalidated whenever the catalog
-        # version changes, so a transaction type executed thousands of times
-        # does not re-derive the same constants on every execution.  The
-        # plan tuple holds the access object itself, which both pins its id
-        # and guards against identity reuse.
-        self._read_plans: Dict[int, _ReadPlan] = {}
-        self._read_plans_version = -1
+        # Per-type execution plans (CPU, pool operations, writes) derived
+        # purely from catalog metadata.  Keyed by the identity of the
+        # long-lived TransactionType objects and dropped whenever the
+        # catalog version changes, so a type executed thousands of times
+        # is compiled once per version.  The plan holds the type itself,
+        # which both pins its id and guards against identity reuse.
+        self._plans: Dict[int, _TxnPlan] = {}
+        self._plans_version = -1
         # relation name -> write hot-set bytes, shared by local writes and
         # remote writeset application; cleared when the catalog version moves.
         self._write_hot_sets: Dict[str, float] = {}
@@ -218,90 +219,98 @@ class DatabaseEngine:
         Returns the resource demand and, for update types, the writeset to
         be certified and propagated.
         """
-        work = TransactionWork(cpu_seconds=txn_type.cpu_ms / 1000.0)
-
-        if self._read_plans_version != self.catalog.version:
-            self._read_plans.clear()
-            self._read_plans_version = self.catalog.version
-        for access in txn_type.reads:
-            self._execute_read(access, work)
+        plans = self._plans
+        if self._plans_version != self.catalog.version:
+            plans.clear()
+            self._plans_version = self.catalog.version
+        plan = plans.get(id(txn_type))
+        if plan is None or plan[0] is not txn_type:
+            plans[id(txn_type)] = plan = self._compile(txn_type)
+        _, cpu_seconds, ops, write_bytes, writes = plan
+        random_read_bytes, sequential_read_bytes = self.buffer_pool.access(ops)
+        work = TransactionWork(cpu_seconds, random_read_bytes,
+                               sequential_read_bytes, write_bytes)
 
         writeset: Optional[WriteSet] = None
-        if txn_type.is_update:
-            writeset = self._execute_writes(txn_type, work)
+        if writes:
+            rng = self.rng
+            writeset = WriteSet(
+                transaction_type=txn_type.name,
+                items=tuple(
+                    WriteItem(relation=relation,
+                              keys=tuple(rng.randrange(key_space)
+                                         for _ in range(rows)),
+                              payload_bytes=payload_bytes,
+                              pages_dirtied=pages_dirtied)
+                    for relation, rows, key_space, payload_bytes, pages_dirtied
+                    in writes),
+                snapshot_version=self.snapshots.applied_version,
+            )
 
         self.transactions_executed += 1
         return work, writeset
 
-    def _execute_read(self, access: TableAccess, work: TransactionWork) -> None:
-        """Perform one read access (the plan cache is validated by execute())."""
-        plan = self._read_plans.get(id(access))
-        if plan is None or plan[0] is not access:
-            plan = self._plan_read(access)
-            self._read_plans[id(access)] = plan
-        buffer_pool = self.buffer_pool
-        (_, _, is_scan, relation_name, hot_set,
-         scan_cpu_seconds, touched, index_name, index_touch, index_hot,
-         is_bulk) = plan
+    def _compile(self, txn_type: TransactionType) -> _TxnPlan:
+        """Derive a transaction type's costs from catalog metadata.
 
-        if is_scan:
-            miss = buffer_pool.access(relation_name, hot_set, hot_set)
-            work.sequential_read_bytes += miss
-            work.cpu_seconds += scan_cpu_seconds
-            return
-
-        # Random access: descend an index (if any), then fetch table pages.
-        if index_name is not None:
-            miss = buffer_pool.access(index_name, index_touch, index_hot)
-            work.random_read_bytes += miss
-        miss = buffer_pool.access(relation_name, touched, hot_set)
-        if is_bulk:
-            # Large range accesses fetch their misses with readahead-style
-            # bulk I/O rather than one seek per page.
-            work.sequential_read_bytes += miss
-        else:
-            work.random_read_bytes += miss
-
-    def _plan_read(self, access: TableAccess) -> _ReadPlan:
-        """Derive an access's cost constants from catalog metadata.
-
-        Exactly the arithmetic the execution path used to perform per
-        execution; only values that depend exclusively on the catalog (and
-        the engine's static config) are precomputed -- buffer-pool state
-        is consulted at execution time as before.
+        Only values that depend exclusively on the catalog (and the
+        engine's static config) are precomputed; buffer-pool state is
+        consulted at execution time, by one :meth:`BufferPool.access` pass
+        over the operations in execution order: each read (a scan as an
+        access of its whole hot set, a random read as its index descent,
+        if any, then its table pages), then each write's pages, which must
+        be resident before they can be dirtied.  Scan CPU is added to the
+        base CPU in read order, like every other sum here, so the results
+        are the same floats a per-access evaluation gives.
         """
         catalog = self.catalog
-        relation_name = access.relation
-        relation = catalog.get(relation_name)
-        if relation is None:
-            raise KeyError("engine: unknown relation %r" % (relation_name,))
-        version = catalog.version
-        size = float(catalog.size_bytes(relation_name))
-        hot_set = size * access.selectivity
-        if hot_set < PAGE_SIZE_BYTES:
-            hot_set = float(PAGE_SIZE_BYTES)
+        config = self.config
+        cpu_seconds = txn_type.cpu_ms / 1000.0
+        ops: List[PoolOp] = []
+        for access in txn_type.reads:
+            relation_name = access.relation
+            relation = catalog.get(relation_name)
+            if relation is None:
+                raise KeyError("engine: unknown relation %r" % (relation_name,))
+            hot_set = float(catalog.size_bytes(relation_name)) * access.selectivity
+            if hot_set < PAGE_SIZE_BYTES:
+                hot_set = float(PAGE_SIZE_BYTES)
 
-        if access.pattern is AccessPattern.SCAN:
-            scan_cpu = (hot_set / (1024.0 * 1024.0)) * \
-                self.config.cpu_ms_per_scanned_mb / 1000.0
-            return (access, version, True, relation_name, hot_set,
-                    scan_cpu, 0.0, None, 0.0, 0.0, False)
+            if access.pattern is AccessPattern.SCAN:
+                ops.append((relation_name, hot_set, hot_set, True))
+                cpu_seconds += (hot_set / (1024.0 * 1024.0)) * \
+                    config.cpu_ms_per_scanned_mb / 1000.0
+                continue
 
-        touched = access.pages_per_execution * PAGE_SIZE_BYTES
-        index_name = None
-        index_touch = 0.0
-        index_hot = 0.0
-        if relation.is_table:
-            chosen = catalog.smallest_index_of(relation_name)
-            if chosen is not None:
-                index_name = chosen.name
-                index_hot = float(catalog.size_bytes(chosen.name)) * access.selectivity
-                if index_hot < PAGE_SIZE_BYTES:
-                    index_hot = float(PAGE_SIZE_BYTES)
-                index_touch = self.config.index_pages_per_lookup * PAGE_SIZE_BYTES
-        is_bulk = access.pages_per_execution >= self.config.bulk_read_pages_threshold
-        return (access, version, False, relation_name, hot_set,
-                0.0, touched, index_name, index_touch, index_hot, is_bulk)
+            # Random access: descend an index (if any), then fetch table
+            # pages.  Large range accesses fetch their misses with
+            # readahead-style bulk I/O rather than one seek per page.
+            if relation.is_table:
+                chosen = catalog.smallest_index_of(relation_name)
+                if chosen is not None:
+                    index_hot = float(catalog.size_bytes(chosen.name)) * access.selectivity
+                    if index_hot < PAGE_SIZE_BYTES:
+                        index_hot = float(PAGE_SIZE_BYTES)
+                    ops.append((chosen.name,
+                                config.index_pages_per_lookup * PAGE_SIZE_BYTES,
+                                index_hot, False))
+            ops.append((relation_name,
+                        access.pages_per_execution * PAGE_SIZE_BYTES, hot_set,
+                        access.pages_per_execution >= config.bulk_read_pages_threshold))
+
+        write_bytes = 0.0
+        writes: List[_WritePlan] = []
+        for write_spec in txn_type.writes:
+            relation_name = write_spec.relation
+            touched = write_spec.pages_dirtied * PAGE_SIZE_BYTES
+            # Writes cluster in a small append/update region, so fetching
+            # the pages they dirty usually hits the cache.
+            ops.append((relation_name, touched, self._write_hot_set(relation_name), False))
+            write_bytes += touched
+            key_space = max(1, catalog.relpages(relation_name)) * config.key_space_per_page
+            writes.append((relation_name, write_spec.rows, key_space,
+                           write_spec.writeset_bytes, write_spec.pages_dirtied))
+        return txn_type, cpu_seconds, tuple(ops), write_bytes, tuple(writes)
 
     def _write_hot_map(self) -> Dict[str, float]:
         """Relation -> write hot-set bytes, valid for the current catalog."""
@@ -321,38 +330,6 @@ class DatabaseEngine:
             hot_map[relation] = hot_set
         return hot_set
 
-    def _execute_writes(self, txn_type: TransactionType, work: TransactionWork) -> WriteSet:
-        items: List[WriteItem] = []
-        for write_spec in txn_type.writes:
-            touched = write_spec.pages_dirtied * PAGE_SIZE_BYTES
-            hot_set = self._write_hot_set(write_spec.relation)
-            # The pages being modified must be resident before they can be
-            # dirtied; fetching them is random read I/O, but writes cluster
-            # in a small append/update region so they usually hit the cache.
-            miss = self.buffer_pool.access(write_spec.relation, touched, hot_set)
-            work.random_read_bytes += miss
-            work.write_bytes += touched
-
-            keys = self._generate_keys(write_spec.relation, write_spec.rows)
-            items.append(
-                WriteItem(
-                    relation=write_spec.relation,
-                    keys=keys,
-                    payload_bytes=write_spec.writeset_bytes,
-                    pages_dirtied=write_spec.pages_dirtied,
-                )
-            )
-        return WriteSet(
-            transaction_type=txn_type.name,
-            items=tuple(items),
-            snapshot_version=self.snapshots.applied_version,
-        )
-
-    def _generate_keys(self, relation: str, rows: int) -> Tuple[int, ...]:
-        pages = max(1, self.catalog.relpages(relation))
-        key_space = pages * self.config.key_space_per_page
-        return tuple(self.rng.randrange(key_space) for _ in range(rows))
-
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)
     # ------------------------------------------------------------------
@@ -365,25 +342,11 @@ class DatabaseEngine:
         the writesets for those tables to the replica", Section 4.2.3).
         Tables in :attr:`dropped_tables` are always filtered.
         """
-        cpu_seconds, random_read_bytes, write_bytes = \
-            self.apply_writeset_fast(writeset, allowed_tables)
+        cpu_seconds, random_read_bytes, write_bytes, _, _ = \
+            self.apply_writesets_fast((writeset,), allowed_tables)
         return TransactionWork(cpu_seconds=cpu_seconds,
                                random_read_bytes=random_read_bytes,
                                write_bytes=write_bytes)
-
-    def apply_writeset_fast(self, writeset: WriteSet,
-                            allowed_tables: Optional[Set[str]] = None
-                            ) -> Tuple[float, float, float]:
-        """Single-writeset convenience over :meth:`apply_writesets_fast`.
-
-        Returns ``(cpu_seconds, random_read_bytes, write_bytes)`` -- remote
-        writeset application never causes sequential reads.  Delegates to
-        the batch path so the filtering and charging semantics have exactly
-        one implementation.
-        """
-        cpu_seconds, random_read_bytes, write_bytes, _, _ = \
-            self.apply_writesets_fast((writeset,), allowed_tables)
-        return cpu_seconds, random_read_bytes, write_bytes
 
     def apply_writesets_fast(self, writesets: Sequence[WriteSet],
                              allowed_tables: Optional[Set[str]] = None
@@ -430,14 +393,15 @@ class DatabaseEngine:
         random_read_bytes = 0.0
         write_bytes = 0.0
         if touched_by_relation:
-            buffer_pool = self.buffer_pool
             hot_map = self._write_hot_map()
+            ops: List[PoolOp] = []
             for relation, touched in touched_by_relation.items():
                 hot_set = hot_map.get(relation)
                 if hot_set is None:
                     hot_set = self._write_hot_set(relation)
-                random_read_bytes += buffer_pool.access(relation, touched, hot_set)
+                ops.append((relation, touched, hot_set, False))
                 write_bytes += touched
+            random_read_bytes, _ = self.buffer_pool.access(ops)
         self.writesets_applied += applied_count
         self.writesets_filtered += filtered_count
         return (cpu_per_item * applied_items, random_read_bytes, write_bytes,

@@ -78,3 +78,23 @@ def test_writeset_conflict_detection(tiny_engine, tiny_workload):
 def test_unknown_relation_raises(tiny_engine):
     with pytest.raises(KeyError):
         tiny_engine.execute(transaction_type("Bad", reads=[lookup("missing", pages=1)]))
+
+
+def test_compiled_plan_follows_catalog_growth(tiny_catalog):
+    """A type's compiled plan is per catalog version: after a relation
+    grows, the next execution charges the grown hot sets and scan CPU."""
+    pool = BufferPool(mb(256))
+    engine = DatabaseEngine(tiny_catalog, pool)
+    txn = transaction_type("SW", reads=[scan("items")],
+                           writes=[write("orders", pages_dirtied=1)], cpu_ms=1.0)
+    before, _ = engine.execute(txn)
+    assert pool.hot_set_bytes_of("items") == float(mb(10))
+    assert pool.hot_set_bytes_of("orders") == pytest.approx(mb(60) * 0.03)
+
+    tiny_catalog.grow("items", mb(6))
+    tiny_catalog.grow("orders", mb(40))
+    after, _ = engine.execute(txn)
+    assert pool.hot_set_bytes_of("items") == float(mb(16))
+    assert pool.hot_set_bytes_of("orders") == pytest.approx(mb(100) * 0.03)
+    assert after.cpu_seconds > before.cpu_seconds
+    assert after.sequential_read_bytes > 0          # the grown part misses
