@@ -310,9 +310,10 @@ ReplicatedCertifierLog` (which carries its own ``rpc_cache``), so the
         single-writer histories.
 
         One deliberate strictness difference from the old scan: the index
-        records every item's keys, whereas the scan's ``keys_by_table()``
-        dict silently kept only the *last* item per relation, losing keys
-        when one writeset carried two items on the same relation.  No
+        records every item's keys, whereas the scan's per-relation key dict
+        (``{relation: set(keys)}``) silently kept only the *last* item per
+        relation, losing keys when one writeset carried two items on the
+        same relation.  No
         shipped workload (TPC-W, RUBiS) emits such writesets, so seeded
         results are unaffected; synthetic writesets now conflict on all of
         their keys, as GSI requires.

@@ -61,7 +61,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.resources import ReplicaResources
 from repro.sim.simulator import Simulator
 from repro.storage.disk import DiskModel
-from repro.storage.engine import DatabaseEngine, TransactionWork
+from repro.storage.engine import DatabaseEngine, Execution
 from repro.workloads.spec import TransactionType
 
 if TYPE_CHECKING:
@@ -103,7 +103,9 @@ class TransactionContext:
         self.epoch = replica.epoch
         self.txn_id = 0
         self.snapshot = 0
-        self.work: Optional[TransactionWork] = None
+        # The engine's (cpu, random read, sequential read, write bytes,
+        # writeset) result for the current attempt.
+        self.work: Optional[Execution] = None
         self.writeset = None
         # Per-transaction trace state; None unless an ObservabilityHub with
         # a tracer is attached (the zero-overhead fast path).
@@ -122,9 +124,7 @@ class TransactionContext:
         if self.trace is not None:
             replica._trace_lap(self, CPU)
         work = self.work
-        read_time = replica.disk_model.read_seconds(
-            work.random_read_bytes, work.sequential_read_bytes
-        )
+        read_time = replica.disk_model.read_seconds(work[1], work[2])
         if read_time > 0:
             replica.resources.disk.acquire(read_time, self.after_reads)
         else:
@@ -154,6 +154,9 @@ class Replica:
         self.replica_id = replica_id
         self.sim = sim
         self.engine = engine
+        # The engine stamps this id on every writeset it builds, so the
+        # certified writeset is the executed one, whoever built the replica.
+        engine.replica_id = replica_id
         self.resources = resources
         self.certifier = certifier
         self.disk_model = disk_model or DiskModel()
@@ -243,8 +246,9 @@ class Replica:
                 trace.txn_id = ctx.txn_id
             trace.attempts = ctx.attempt
             self._trace_lap(ctx, QUEUE)
-        ctx.work, ctx.writeset = self.engine.execute(ctx.txn_type)
-        cpu_time = ctx.work.cpu_seconds
+        ctx.work = work = self.engine.execute(ctx.txn_type)
+        ctx.writeset = work[4]
+        cpu_time = work[0]
         if cpu_time > 0:
             self.resources.cpu.acquire(cpu_time, ctx.after_cpu)
         else:
@@ -289,30 +293,17 @@ class Replica:
             self.sim.defer(config.certification_latency_s,
                            lambda: self._complete_certification(batch, epoch))
             return
-        # RPC path: build the request writesets once, at dispatch.  Retries
-        # resend the very same objects, which is what lets the consistency
-        # checker detect a double certification as the same writeset object
-        # appearing twice in the log.
+        # RPC path: the request list is built once, at dispatch.  Retries
+        # resend it, and each request carries the writeset object the engine
+        # built, so the consistency checker can detect a double
+        # certification as the same writeset object appearing twice in the
+        # log.
         self._next_request_id += 1
         self._rpc_request_id = self._next_request_id
         self._rpc_attempt = 0
         self._rpc_batch = batch
-        self._rpc_requests = self._build_requests(batch)
+        self._rpc_requests = [(ctx.writeset, ctx.snapshot) for ctx in batch]
         self._send_rpc_attempt(epoch)
-
-    def _build_requests(self, batch: List[TransactionContext]) -> list:
-        """The certification request list for one batch (FIFO order)."""
-        replica_id = self.replica_id
-        requests = []
-        for ctx in batch:
-            writeset = ctx.writeset
-            requests.append((writeset.__class__(
-                transaction_type=writeset.transaction_type,
-                items=writeset.items,
-                origin_replica=replica_id,
-                snapshot_version=ctx.snapshot,
-            ), ctx.snapshot))
-        return requests
 
     def _complete_certification(self, batch: List[TransactionContext],
                                 epoch: int) -> None:
@@ -327,9 +318,9 @@ class Replica:
             # went down with the crashed controller, so dropping the batch
             # leaks nothing.  crash() reset the batcher for the next epoch.
             return
-        requests = self._build_requests(batch)
         results, piggyback = self.certifier.certify_batch(
-            requests, since_version=self.proxy.applied_version, now=self.sim.now)
+            [(ctx.writeset, ctx.snapshot) for ctx in batch],
+            since_version=self.proxy.applied_version, now=self.sim.now)
         self._deliver_certification(batch, results, piggyback)
 
     def _deliver_certification(self, batch: List[TransactionContext],
@@ -358,7 +349,7 @@ class Replica:
             if result.committed:
                 # Dirty pages go to the background writer; the transaction
                 # does not wait for them (durability lives in the middleware).
-                write_time = self.disk_model.write_seconds(batch[i].work.write_bytes)
+                write_time = self.disk_model.write_seconds(batch[i].work[3])
                 if write_time > 0:
                     self.resources.disk.add_background_work(write_time)
                 self.committed_updates += 1
@@ -570,10 +561,11 @@ class Replica:
         if self.metrics is not None and committed:
             now = self.sim.now
             work = ctx.work
+            # A writeset exists exactly when the type has writes.
             self.metrics.record_completion(
                 now, ctx.txn_type.name, self.replica_id, now - ctx.submitted_at,
-                ctx.txn_type.is_update, work.read_bytes,
-                self.disk_model.effective_write_bytes(work.write_bytes),
+                ctx.writeset is not None, work[1] + work[2],
+                self.disk_model.effective_write_bytes(work[3]),
             )
         self.proxy.admission.release()
         ctx.on_done(committed)

@@ -14,15 +14,17 @@ database, a 16-replica cluster, or any load-balancing policy.
 
 Clients are slotted objects whose issue/complete continuations are bound
 once at construction: a client completes hundreds of thousands of
-transactions, and its continuations travel through the event queue's
-``push_bare`` fast path, so the per-transaction loop allocates nothing and
-performs no per-transaction callback-registry lookups.
+transactions, and its think-time continuation is pushed straight onto the
+event heap as a bare ``(time, sequence, callback)`` entry, so the
+per-transaction loop allocates nothing beyond that entry and performs no
+per-transaction callback-registry lookups.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from math import log
 from typing import Callable, List, Optional, Set
 
@@ -88,12 +90,17 @@ class Client:
         pop.requests_completed += 1
         # Inline exponential think-time draw (see ClientPopulation._think_time
         # for why the formula is spelled out); think times are never negative
-        # and never cancelled, so the continuation goes straight onto the
-        # event queue.
+        # and never cancelled, so the bare ``(time, sequence, callback)``
+        # entry goes straight onto the event heap, as EventQueue.push_bare
+        # would push it.
         lambd = pop._think_lambd
         think = -log(1.0 - pop._rng.random()) / lambd if lambd is not None else 0.0
         sim = pop.sim
-        sim.queue.push_bare(sim.now + think, self.issue)
+        queue = sim.queue
+        sequence = queue._next_sequence
+        queue._next_sequence = sequence + 1
+        heappush(queue._heap, (sim.now + think, sequence, self.issue))
+        queue._live += 1
 
 
 class ClientPopulation:

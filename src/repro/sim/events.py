@@ -103,9 +103,12 @@ class EventQueue:
     def push_bare(self, time: float, callback: EventCallback) -> None:
         """Schedule a callback that will never be cancelled (no handle).
 
-        Skips the :class:`Event` allocation; this is the fast path used by
-        the simulator-internal machinery (resource completions, periodic
-        ticks, client think times), which never cancels.
+        Skips the :class:`Event` allocation; this is the fast path behind
+        :meth:`Simulator.defer`, which never cancels.  Resource completions
+        and client think times, which occur once or more per transaction,
+        push the same bare ``(time, sequence, callback)`` entry onto
+        ``_heap`` inline (bumping ``_next_sequence`` and ``_live`` the same
+        way) to save this call's frame.
         """
         if time < 0:
             raise ValueError("event time must be non-negative, got %r" % (time,))

@@ -23,6 +23,7 @@ Two kinds of work can be offered:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.sim.simulator import Simulator
@@ -63,9 +64,14 @@ class Resource:
         self.requests += 1
         if callback is not None:
             # Completions are never cancelled and never lie in the past
-            # (completion >= now by construction), so the queue's bare-push
-            # fast path is used directly.
-            sim.queue.push_bare(completion, callback)
+            # (completion >= now by construction), so the bare
+            # ``(time, sequence, callback)`` entry goes straight onto the
+            # heap, as EventQueue.push_bare would push it, without its frame.
+            queue = sim.queue
+            sequence = queue._next_sequence
+            queue._next_sequence = sequence + 1
+            heappush(queue._heap, (completion, sequence, callback))
+            queue._live += 1
         return completion
 
     def add_background_work(self, service_time: float) -> float:

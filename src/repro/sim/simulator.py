@@ -11,9 +11,10 @@ seconds.
 Two scheduling flavours exist: :meth:`Simulator.schedule` /
 :meth:`Simulator.schedule_at` return a cancellation handle, while
 :meth:`Simulator.defer` / :meth:`Simulator.defer_at` are the allocation-free
-fast path for callbacks that are never cancelled (the overwhelming majority:
-resource completions, think times, periodic ticks).  Both flavours share one
-queue and one time order.
+fast path for callbacks that are never cancelled (the overwhelming majority;
+resource completions and client think times push the same bare heap entry
+inline, see :meth:`EventQueue.push_bare`).  Both flavours share one queue
+and one time order.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from repro.storage.disk import DiskModel
 from repro.storage.engine import (
     DatabaseEngine,
     EngineConfig,
-    TransactionWork,
     WriteItem,
     WriteSet,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "Schema",
     "SEGMENT_SIZE_BYTES",
     "SnapshotManager",
-    "TransactionWork",
     "WriteItem",
     "WriteSet",
     "bytes_for_pages",

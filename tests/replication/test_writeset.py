@@ -1,7 +1,6 @@
-"""Property tests for writesets and certified writesets."""
+"""Tests for writesets and certified writesets."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.replication.writeset import CertifiedWriteSet
 from repro.storage.engine import WriteItem, WriteSet
@@ -20,39 +19,18 @@ def test_certified_writeset_requires_positive_version():
         CertifiedWriteSet(version=0, writeset=make_ws({"a": [1]}))
 
 
-def test_restriction_keeps_only_wanted_tables():
-    ws = make_ws({"a": [1], "b": [2], "c": [3]})
-    restricted = ws.restricted_to(["a", "c"])
-    assert set(restricted.tables) == {"a", "c"}
-    assert restricted.payload_bytes < ws.payload_bytes
-
-
-tables = st.dictionaries(st.sampled_from(["t1", "t2", "t3"]),
-                         st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=5),
-                         min_size=1, max_size=3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tables, tables)
-def test_conflict_is_symmetric(a_keys, b_keys):
-    a, b = make_ws(a_keys), make_ws(b_keys)
-    assert a.conflicts_with(b) == b.conflicts_with(a)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tables)
-def test_writeset_conflicts_with_itself(keys):
-    ws = make_ws(keys)
-    assert ws.conflicts_with(ws)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tables, st.lists(st.sampled_from(["t1", "t2", "t3"]), max_size=3, unique=True))
-def test_restriction_never_adds_conflicts(keys, allowed):
-    full = make_ws(keys)
-    restricted = full.restricted_to(allowed)
-    other = make_ws({"t1": [0], "t2": [0], "t3": [0]})
-    # If the restricted writeset conflicts with something, the full one must too.
-    if restricted.conflicts_with(other):
-        assert full.conflicts_with(other)
-    assert restricted.pages_dirtied <= full.pages_dirtied
+def test_writesets_compare_hash_and_print_by_value():
+    a = make_ws({"a": [1, 2], "b": [3]}, origin=2)
+    b = make_ws({"a": [1, 2], "b": [3]}, origin=2)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != make_ws({"a": [1, 2], "b": [3]}, origin=1)
+    assert a.items[0] == b.items[0] and hash(a.items[0]) == hash(b.items[0])
+    assert a != a.items[0]
+    assert repr(a.items[1]) == ("WriteItem(relation='b', keys=(3,), "
+                                "payload_bytes=10, pages_dirtied=1)")
+    assert repr(a).startswith("WriteSet(transaction_type='T', items=(WriteItem(")
+    assert repr(a).endswith("origin_replica=2, snapshot_version=0)")
+    certified = CertifiedWriteSet(version=1, writeset=a)
+    assert certified == CertifiedWriteSet(version=1, writeset=b)
+    assert hash(certified) == hash(CertifiedWriteSet(version=1, writeset=b))
